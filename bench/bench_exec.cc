@@ -1,6 +1,7 @@
 // E12 — batched morsel-parallel execution: wall-clock of the batched engine
-// vs the legacy whole-table evaluator, and a thread sweep over the batched
-// engine's morsel workers, on the Figure 3 recursion and a selective scan.
+// vs the whole-table evaluator (the test-only LegacyExecutor oracle, timed
+// as the baseline), and a thread sweep over the batched engine's morsel
+// workers, on the Figure 3 recursion and a selective scan.
 // Every configuration computes the same answer with bit-identical counters
 // and measured cost (asserted here cheaply via row counts; the exhaustive
 // check is exec_differential_test) — the sweep measures pure wall time.
@@ -21,6 +22,7 @@
 #include "exec/executor.h"
 #include "optimizer/baseline.h"
 #include "optimizer/optimizer.h"
+#include "oracle/legacy_executor.h"
 #include "query/builder.h"
 #include "query/paper_queries.h"
 
@@ -138,12 +140,13 @@ ExecCase& DeepPathCase() {
   return *c;
 }
 
-void RunOnce(ExecCase& c, const ExecOptions& options, benchmark::State& state) {
+/// Times cold runs of `c.plan`; `execute` builds an evaluator over the
+/// database and returns one run's result.
+template <typename Execute>
+void TimeRuns(ExecCase& c, benchmark::State& state, Execute execute) {
   size_t rows = 0;
   for (auto _ : state) {
-    Executor exec(c.db.db.get());
-    exec.ResetMeasurement(true);
-    const Table out = exec.Execute(*c.plan, options);
+    const Table out = execute();
     rows += out.rows.size();
     if (out.rows.size() != c.expect_rows) {
       state.SkipWithError("row count diverged from reference");
@@ -155,10 +158,24 @@ void RunOnce(ExecCase& c, const ExecOptions& options, benchmark::State& state) {
       static_cast<double>(rows), benchmark::Counter::kIsRate);
 }
 
+void RunOnce(ExecCase& c, const ExecOptions& options, benchmark::State& state) {
+  TimeRuns(c, state, [&] {
+    Executor exec(c.db.db.get());
+    exec.ResetMeasurement(true);
+    return exec.Execute(*c.plan, options);
+  });
+}
+
+void RunOracle(ExecCase& c, benchmark::State& state) {
+  TimeRuns(c, state, [&] {
+    LegacyExecutor exec(c.db.db.get());
+    exec.ResetMeasurement(true);
+    return exec.Execute(*c.plan);
+  });
+}
+
 void BM_LegacyRecursive(benchmark::State& state) {
-  ExecOptions options;
-  options.use_legacy = true;
-  RunOnce(RecursiveCase(), options, state);
+  RunOracle(RecursiveCase(), state);
 }
 BENCHMARK(BM_LegacyRecursive)->Unit(benchmark::kMillisecond)->UseRealTime();
 
@@ -171,9 +188,7 @@ BENCHMARK(BM_BatchedRecursive)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_LegacyScanJoin(benchmark::State& state) {
-  ExecOptions options;
-  options.use_legacy = true;
-  RunOnce(ScanCase(), options, state);
+  RunOracle(ScanCase(), state);
 }
 BENCHMARK(BM_LegacyScanJoin)->Unit(benchmark::kMillisecond)->UseRealTime();
 

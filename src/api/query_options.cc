@@ -42,7 +42,6 @@ ExecOptions QueryOptions::MakeExecOptions(const QueryContext* armed) const {
   if (exec_threads.has_value()) exec.exec_threads = *exec_threads;
   if (compiled_eval.has_value()) exec.compiled_eval = *compiled_eval;
   exec.hash_equijoin = hash_equijoin;
-  exec.use_legacy = legacy_exec;
   exec.query = armed;
   return exec;
 }

@@ -45,7 +45,7 @@ struct FeedbackOptions {
 ///
 /// The single inherit/override rule, uniform across every knob:
 ///
-///   - a plain field (cold, legacy_exec, ...) is taken literally;
+///   - a plain field (cold, hash_equijoin, ...) is taken literally;
 ///   - an std::optional field is an *override*: nullopt means "inherit the
 ///     session / executor / environment default", and an engaged value is
 ///     taken literally — including 0, which for `seed` is a legal seed and
@@ -96,16 +96,13 @@ struct QueryOptions {
   /// and interpreted eval produce the same rows and bit-identical
   /// ExecCounters / OpStats / MeasuredCost; the knob is deliberately NOT
   /// part of the plan-cache fingerprint, so flipping it between runs still
-  /// hits the cache. Ignored by legacy_exec, which always interprets.
+  /// hits the cache.
   std::optional<bool> compiled_eval;
   /// Build a hash table over the inner of an equi nested-loop join. Same
   /// rows and order, but honestly different predicate/page accounting —
   /// opt-in and excluded from the accounting-identity guarantee (see
   /// ExecOptions::hash_equijoin, which this lowers onto).
   bool hash_equijoin = false;
-  /// Evaluate with the pre-batching whole-table engine (differential
-  /// oracle / bench baseline).
-  bool legacy_exec = false;
   /// Skip the session's plan cache for this run: neither look up nor insert.
   /// The run optimizes from scratch exactly as a cache miss would.
   bool bypass_plan_cache = false;

@@ -685,11 +685,10 @@ ExplainResult Session::ExplainImpl(const QueryGraph& graph,
   ex.node_stats_ = FlattenPlanStats(*run.optimized.plan, exec.op_stats());
   // Disassemble what the compiled engine actually ran: the same knob
   // resolution as ExecOptionsFrom (explicit override, else executor/env
-  // default), except under legacy_exec, which always interprets.
-  const bool compiled =
-      !options.legacy_exec &&
-      options.compiled_eval.value_or(CompiledEvalEnvDefault());
-  if (compiled) ex.vm_disassembly = vm::DisassemblePlan(*run.optimized.plan);
+  // default).
+  if (options.compiled_eval.value_or(CompiledEvalEnvDefault())) {
+    ex.vm_disassembly = vm::DisassemblePlan(*run.optimized.plan);
+  }
   return ex;
 }
 

@@ -32,11 +32,11 @@ inline double MethodCostFromFp(uint64_t fp) {
 }
 
 /// Everything expression evaluation needs: the (read-only) database, where
-/// to charge page accesses, and where to count CPU-side work. The legacy
-/// evaluator wires the pointers at the Executor's members and buffer pool;
-/// each worker morsel of the batched engine wires them at morsel-local
-/// counters and a morsel-local ChargeLog, making evaluation freely
-/// parallel — the database itself is never written.
+/// to charge page accesses, and where to count CPU-side work. The
+/// whole-table test oracle wires the pointers at its own counters and the
+/// buffer pool; each worker morsel of the batched engine wires them at
+/// morsel-local counters and a morsel-local ChargeLog, making evaluation
+/// freely parallel — the database itself is never written.
 struct EvalContext {
   const Database* db = nullptr;
   PageCharger* charger = nullptr;
@@ -44,8 +44,8 @@ struct EvalContext {
   uint64_t* method_calls = nullptr;
   uint64_t* method_cost_fp = nullptr;
   /// Register scratch for compiled (bytecode) evaluation, owned by the
-  /// enclosing morsel; null under interpreted eval and in the legacy
-  /// evaluator (which never compiles).
+  /// enclosing morsel; null under interpreted eval and in the whole-table
+  /// test oracle (which never compiles).
   vm::VmScratch* vm = nullptr;
 };
 

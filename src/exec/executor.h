@@ -5,7 +5,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/query_context.h"
@@ -21,6 +20,7 @@ namespace obs {
 class Tracer;
 }  // namespace obs
 
+class BatchEngine;
 class ResultCursor;
 class ThreadPool;
 
@@ -144,6 +144,15 @@ Status MakeResourceExhausted(SpillOpTag tag, uint64_t requested,
 /// refused even with spilling on.
 uint64_t TempRowPages(size_t ncols);
 
+/// The measured cost of a run in the cost model's units: buffer-pool misses
+/// since the `start_misses` watermark * pr + predicate evaluations *
+/// ev_tuple + method costs * method_weight. The miss delta saturates at 0:
+/// a concurrent session's ResetMeasurement can move the shared pool's miss
+/// counter below the watermark.
+double MeasuredCostSince(const BufferPool& pool, uint64_t start_misses,
+                         const ExecCounters& counters,
+                         const CostParams& params);
+
 /// Execution configuration. The defaults give the batched engine with
 /// sequential (single-thread) morsels; any combination of batch_rows and
 /// exec_threads produces bit-identical ExecCounters, OpStats page counts and
@@ -156,8 +165,7 @@ struct ExecOptions {
   /// src/exec/vm/). Same rows, same ExecCounters / OpStats / MeasuredCost
   /// bit for bit, for every batch_rows x exec_threads combination — the
   /// interpreter remains the differential oracle. Defaults to the
-  /// RODIN_COMPILED_EVAL environment switch; ignored by the legacy engine,
-  /// which always interprets.
+  /// RODIN_COMPILED_EVAL environment switch.
   bool compiled_eval = CompiledEvalEnvDefault();
   /// Build a hash table over the inner of an equi nested-loop join instead
   /// of scanning it per outer row. Produces the identical result set and
@@ -165,19 +173,15 @@ struct ExecOptions {
   /// tuple comparisons, no per-outer-row re-scan charges), so it is opt-in
   /// and excluded from the accounting-identity guarantee.
   bool hash_equijoin = false;
-  /// Use the original whole-table bottom-up evaluator (the differential
-  /// oracle and bench baseline).
-  bool use_legacy = false;
   /// The run's lifecycle budget (deadline / cancel / memory), referenced —
   /// never copied — from the QueryOptions' QueryContext. Null = unbounded.
-  /// Both engines poll it on the coordinator thread only: per morsel batch
-  /// and per semi-naive iteration (batched), per fixpoint iteration
-  /// (legacy). Tripping it aborts the evaluation with the corresponding
-  /// status; partial page charges stay exact.
+  /// Polled on the coordinator thread only, per morsel batch and per
+  /// semi-naive iteration. Tripping it aborts the evaluation with the
+  /// corresponding status; partial page charges stay exact.
   const QueryContext* query = nullptr;
   /// Consult the process FaultInjector (RODIN_FAULTS) during this run. Only
-  /// Session's non-streaming paths set this, so raw Executor callers — the
-  /// differential oracle, benches — and streaming cursors are never
+  /// Session's non-streaming paths set this, so raw Executor callers —
+  /// differential tests, benches — and streaming cursors are never
   /// perturbed by an enabled injector.
   bool inject_faults = false;
 };
@@ -215,14 +219,15 @@ struct FixCacheEntry {
 /// work across a shared worker pool. Fixpoints still run the semi-naive
 /// (delta) algorithm with a full barrier per iteration, and Sel-over-entity
 /// is fused into the scan so the access/eval accounting matches the
-/// Figure 5 formulas. The pre-batching whole-table evaluator is retained
-/// behind ExecOptions::use_legacy as the differential-testing oracle.
+/// Figure 5 formulas. The pre-batching whole-table evaluator lives on only
+/// as the test-only LegacyExecutor oracle under tests/oracle/, which the
+/// differential suites compare this engine against.
 ///
 /// Every page touched is (eventually) charged to the database's buffer
 /// pool, so after a run `MeasuredCost()` expresses the same quantity the
 /// cost model estimates: misses * pr + predicate_evals * ev_tuple + method
-/// costs. The batched engine defers charges through per-operator logs and
-/// replays them in the legacy evaluation order, which makes the measured
+/// costs. The engine defers charges through per-operator logs and replays
+/// them in the whole-table evaluator's post-order, which makes the measured
 /// cost bit-identical across batch sizes and thread counts.
 class Executor {
  public:
@@ -285,46 +290,17 @@ class Executor {
     return op_stats_;
   }
 
-  /// Spill activity since the last reset (batched engine: real partitioned
-  /// spill files; legacy engine: logical spills — the ledger stops charging
-  /// but rows stay in memory, keeping the oracle's answer machinery
-  /// untouched).
+  /// Spill activity (real partitioned spill files) since the last reset.
   const SpillStats& spill_stats() const { return spill_stats_; }
 
  private:
   friend class ResultCursor;
 
-  /// Coordinator-thread budget poll + probabilistic page-fetch fault for
-  /// the legacy evaluator; throws internal::ExecAbort on a trip.
-  void CheckLegacyBudget(int fix_iter);
-
-  /// AllocateTempFile with the cumulative temp-page ledger, spill decision
-  /// and alloc-fault checks applied (legacy evaluator; the batched engine
-  /// has its own in ExecCtx). Charges the ledger and returns spilled=false
-  /// when the temp fits the remaining budget; performs a *logical* spill
-  /// (no ledger charge, spill counter bumped, rows stay in memory) when it
-  /// does not and spilling is on; throws a typed kResourceExhausted with
-  /// the packed detail otherwise. A single row larger than the whole budget
-  /// is refused unconditionally.
-  TempFile AllocTempChecked(size_t rows, size_t ncols, SpillOpTag tag,
-                            bool* spilled = nullptr);
-
-  /// Returns fix per-iteration delta pages to the legacy ledger (the one
-  /// temp class genuinely freed mid-query; join temps and cache payloads
-  /// are held to query end).
-  void ReleaseTempPages(uint64_t pages);
-
-  Table Eval(const PTNode& node);
-  Table EvalNode(const PTNode& node);
-  Table EvalEntity(const PTNode& node);
-  Table EvalDelta(const PTNode& node);
-  Table EvalSel(const PTNode& node);
-  Table EvalProj(const PTNode& node);
-  Table EvalEJ(const PTNode& node);
-  Table EvalIJ(const PTNode& node);
-  Table EvalPIJ(const PTNode& node);
-  Table EvalUnion(const PTNode& node);
-  Table EvalFix(const PTNode& node);
+  /// Builds the engine for one run of `plan`: wires it at this executor's
+  /// sinks and worker pool and resolves the run's spill switch and ledger
+  /// budget. Shared by ExecuteInto and ExecuteStream.
+  std::unique_ptr<BatchEngine> NewEngine(const PTNode& plan,
+                                         const ExecOptions& options);
 
   /// Returns the shared worker pool for `threads` workers, creating it on
   /// first use. Returns null for sequential execution. One pool per distinct
@@ -340,10 +316,6 @@ class Executor {
   Database* db_;
   CostParams params_;
   ExecCounters counters_;
-  /// Active run's budget / fault wiring (set for the duration of one
-  /// ExecuteInto call; the legacy Eval* methods read them).
-  const QueryContext* query_ = nullptr;
-  bool inject_faults_ = false;
   /// counters_.method_cost in 2^-20 fixed point — the summation domain, so
   /// that morsel-parallel partial sums merge order-independently. The
   /// double mirror is refreshed whenever the fp value changes.
@@ -351,24 +323,16 @@ class Executor {
   uint64_t start_misses_ = 0;
   bool collect_op_stats_ = false;
   SpillStats spill_stats_;
-  /// Legacy-path temp-page ledger, resolved per ExecuteInto call from the
-  /// run's QueryContext + environment (see EffectiveSpillBudgetPages).
-  size_t live_temp_pages_ = 0;
-  size_t ledger_budget_pages_ = 0;
-  bool spill_enabled_ = true;
   obs::Tracer* tracer_ = nullptr;
   std::map<const PTNode*, OpStats> op_stats_;
   /// Worker pools by size, shared across queries; see PoolFor().
   std::vector<std::unique_ptr<ThreadPool>> pools_;
-  /// Delta tables of in-flight fixpoints (legacy evaluator only), by view
-  /// name, with the temp file backing each delta.
-  std::map<std::string, std::pair<const Table*, TempFile>> deltas_;
 
   /// Memoized fixpoint results, keyed by plan fingerprint: a view consumed
   /// by several predicate nodes is instantiated (cloned) into each
   /// consumer's plan; the data is immutable, so the second occurrence costs
   /// one temp scan instead of a recomputation. Fixpoints that reference an
-  /// enclosing fixpoint's delta are not cacheable. Shared by both engines.
+  /// enclosing fixpoint's delta are not cacheable.
   std::map<std::string, FixCacheEntry> fix_cache_;
 };
 

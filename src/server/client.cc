@@ -33,7 +33,6 @@ Client::~Client() { Close(); }
 Client::Client(Client&& other) noexcept
     : fd_(other.fd_),
       connection_id_(other.connection_id_),
-      proto_version_(other.proto_version_),
       next_request_(other.next_request_),
       active_request_(other.active_request_.load()) {
   other.fd_ = -1;
@@ -44,7 +43,6 @@ Client& Client::operator=(Client&& other) noexcept {
     Close();
     fd_ = other.fd_;
     connection_id_ = other.connection_id_;
-    proto_version_ = other.proto_version_;
     next_request_ = other.next_request_;
     active_request_.store(other.active_request_.load());
     other.fd_ = -1;
@@ -110,11 +108,10 @@ Status Client::Connect(const std::string& host, uint16_t port) {
     Close();
     return ProtocolViolation("malformed HELLO_OK");
   }
-  if (version == 0 || version > kProtocolVersion) {
+  if (version != kProtocolVersion) {
     Close();
-    return ProtocolViolation("server negotiated an unknown version");
+    return ProtocolViolation("server answered with another protocol version");
   }
-  proto_version_ = version;
   return Status::Ok();
 }
 
@@ -122,11 +119,6 @@ Status Client::StatusRoundTrip(FrameType type, const std::string& payload,
                                uint64_t* rows, uint64_t* detail) {
   if (!connected()) {
     return Status::Error(Status::Code::kInvalidArgument, "not connected");
-  }
-  if (proto_version_ < 2) {
-    return Status::Error(Status::Code::kInvalidArgument,
-                         "server negotiated protocol v1, which has no "
-                         "mutation frames");
   }
   const uint64_t request_id = next_request_++;
   Status s = SendFrame(type, request_id, payload);
@@ -174,7 +166,7 @@ ClientResult Client::Query(const std::string& text,
   const uint64_t request_id = next_request_++;
   PayloadWriter w;
   w.Str(text);
-  WireQueryOptions::FromQueryOptions(options).Encode(&w, proto_version_);
+  WireQueryOptions::FromQueryOptions(options).Encode(&w);
   active_request_.store(request_id);
   result.status = SendFrame(FrameType::kQuery, request_id, w.Take());
   if (!result.status.ok()) return result;
@@ -226,7 +218,7 @@ ClientResult Client::Execute(uint64_t statement_id,
   const uint64_t request_id = next_request_++;
   PayloadWriter w;
   w.U64(statement_id);
-  WireQueryOptions::FromQueryOptions(options).Encode(&w, proto_version_);
+  WireQueryOptions::FromQueryOptions(options).Encode(&w);
   active_request_.store(request_id);
   result.status = SendFrame(FrameType::kExecute, request_id, w.Take());
   if (!result.status.ok()) return result;

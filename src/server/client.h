@@ -56,8 +56,6 @@ class Client {
   bool connected() const { return fd_ >= 0; }
   /// Server-assigned connection id (from HELLO_OK).
   uint64_t connection_id() const { return connection_id_; }
-  /// Negotiated protocol version (min(ours, server's), from HELLO_OK).
-  uint32_t protocol_version() const { return proto_version_; }
 
   /// Runs a query and streams the reply until the terminal STATUS frame.
   /// `stop_after_rows` > 0 abruptly closes the socket once that many rows
@@ -77,13 +75,13 @@ class Client {
                        uint64_t stop_after_rows = 0,
                        bool collect_rows = true);
 
-  /// MUTATE round-trip (protocol v2): stages `batch` on this connection's
+  /// MUTATE round-trip: stages `batch` on this connection's
   /// server-side transaction (opened implicitly by the first Mutate).
   /// Fills *ops_staged with the ops accepted. kConflict (retryable) when
   /// another connection holds the write slot.
   Status Mutate(const MutationBatch& batch, uint64_t* ops_staged = nullptr);
 
-  /// COMMIT round-trip (protocol v2). On success fills *ops_applied and
+  /// COMMIT round-trip. On success fills *ops_applied and
   /// *stats_version (the post-commit engine stats version). kConflict
   /// (retryable; the transaction stays open server-side) while streaming
   /// cursors are live.
@@ -114,7 +112,6 @@ class Client {
 
   int fd_ = -1;
   uint64_t connection_id_ = 0;
-  uint32_t proto_version_ = 0;
   uint64_t next_request_ = 1;
   std::mutex write_mu_;
   std::atomic<uint64_t> active_request_{0};

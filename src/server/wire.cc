@@ -42,7 +42,7 @@ constexpr uint8_t kTagStr = 4;
 // Refs and collections: rendered server-side, decoded as strings. The tag is
 // kept distinct so a client can tell "this string is a rendering".
 constexpr uint8_t kTagRendered = 5;
-// Mutation payloads only (v2+): structural ref / set encodings. Result
+// Mutation payloads only: structural ref / set encodings. Result
 // transport (ROWS) keeps rendering — these tags never appear there.
 constexpr uint8_t kTagRef = 6;
 constexpr uint8_t kTagSet = 7;
@@ -51,20 +51,23 @@ constexpr uint8_t kTagSet = 7;
 constexpr uint8_t kFlagBypassPlanCache = 1u << 0;
 constexpr uint8_t kFlagCompiledEvalSet = 1u << 1;
 constexpr uint8_t kFlagCompiledEvalOn = 1u << 2;
-// v3: adaptive-feedback override. Tuning flag gates a two-F64 tail (drift
-// threshold, EWMA alpha) appended after the flags byte — old payloads never
-// carry the flag, so they decode unchanged.
+// Adaptive-feedback override. The tuning flag gates a two-F64 tail (drift
+// threshold, EWMA alpha) appended after the flags byte.
 constexpr uint8_t kFlagFeedbackSet = 1u << 3;
 constexpr uint8_t kFlagFeedbackOn = 1u << 4;
 constexpr uint8_t kFlagFeedbackTuning = 1u << 5;
-// v4: spill override. Gates a tail (after the feedback tuning tail, when
-// both are present): u8 tri-state (0 = inherit, 1 = off, 2 = on) + u64
-// spill-ledger budget pages. Old payloads never carry the flag, so they
-// decode unchanged.
+// Spill override. Gates a tail (after the feedback tuning tail, when both
+// are present): u8 tri-state (0 = inherit, 1 = off, 2 = on) + u64
+// spill-ledger budget pages.
 constexpr uint8_t kFlagSpill = 1u << 6;
 constexpr uint8_t kSpillInherit = 0;
 constexpr uint8_t kSpillOff = 1;
 constexpr uint8_t kSpillOn = 2;
+// Every bit above; a flags byte with any other bit set is malformed.
+constexpr uint8_t kKnownFlags = kFlagBypassPlanCache | kFlagCompiledEvalSet |
+                                kFlagCompiledEvalOn | kFlagFeedbackSet |
+                                kFlagFeedbackOn | kFlagFeedbackTuning |
+                                kFlagSpill;
 
 }  // namespace
 
@@ -158,7 +161,7 @@ bool PayloadReader::Str(std::string* s) {
   return true;
 }
 
-void WireQueryOptions::Encode(PayloadWriter* w, uint32_t version) const {
+void WireQueryOptions::Encode(PayloadWriter* w) const {
   w->U64(deadline_ms);
   w->U64(memory_budget_pages);
   w->U32(exec_threads);
@@ -169,22 +172,20 @@ void WireQueryOptions::Encode(PayloadWriter* w, uint32_t version) const {
     flags |= kFlagCompiledEvalSet;
     if (*compiled_eval) flags |= kFlagCompiledEvalOn;
   }
-  const bool tuning = feedback_drift != 0 || feedback_alpha != 0;
-  if (version >= 3) {
-    if (feedback.has_value()) {
-      flags |= kFlagFeedbackSet;
-      if (*feedback) flags |= kFlagFeedbackOn;
-    }
-    if (tuning) flags |= kFlagFeedbackTuning;
+  if (feedback.has_value()) {
+    flags |= kFlagFeedbackSet;
+    if (*feedback) flags |= kFlagFeedbackOn;
   }
+  const bool tuning = feedback_drift != 0 || feedback_alpha != 0;
+  if (tuning) flags |= kFlagFeedbackTuning;
   const bool spill_block = spill.has_value() || spill_budget_pages != 0;
-  if (version >= 4 && spill_block) flags |= kFlagSpill;
+  if (spill_block) flags |= kFlagSpill;
   w->U8(flags);
-  if (version >= 3 && tuning) {
+  if (tuning) {
     w->F64(feedback_drift);
     w->F64(feedback_alpha);
   }
-  if (version >= 4 && spill_block) {
+  if (spill_block) {
     w->U8(!spill.has_value() ? kSpillInherit
                              : (*spill ? kSpillOn : kSpillOff));
     w->U64(spill_budget_pages);
@@ -194,7 +195,8 @@ void WireQueryOptions::Encode(PayloadWriter* w, uint32_t version) const {
 bool WireQueryOptions::Decode(PayloadReader* r) {
   uint8_t flags;
   if (!r->U64(&deadline_ms) || !r->U64(&memory_budget_pages) ||
-      !r->U32(&exec_threads) || !r->U32(&batch_rows) || !r->U8(&flags)) {
+      !r->U32(&exec_threads) || !r->U32(&batch_rows) || !r->U8(&flags) ||
+      (flags & ~kKnownFlags) != 0) {
     return false;
   }
   bypass_plan_cache = (flags & kFlagBypassPlanCache) != 0;
@@ -218,8 +220,13 @@ bool WireQueryOptions::Decode(PayloadReader* r) {
   if ((flags & kFlagSpill) != 0) {
     uint8_t state;
     if (!r->U8(&state) || !r->U64(&spill_budget_pages)) return false;
-    if (state == kSpillOff) spill = false;
-    if (state == kSpillOn) spill = true;
+    if (state == kSpillOff) {
+      spill = false;
+    } else if (state == kSpillOn) {
+      spill = true;
+    } else if (state != kSpillInherit) {
+      return false;
+    }
   }
   return true;
 }

@@ -1,10 +1,11 @@
 // Differential test for the batched morsel-parallel engine: for any batch
 // size and thread count, the executor must produce the *same rows in the
-// same order* as the legacy whole-table evaluator, with bit-identical
-// accounting — every ExecCounters field, the buffer pool's fetch/hit/miss
-// totals, and MeasuredCost(). The batched engine defers page charges into
-// per-operator logs and replays them in the legacy evaluation order, so
-// "identical" here is exact equality, not a tolerance.
+// same order* as the whole-table evaluator (the test-only LegacyExecutor
+// oracle), with bit-identical accounting — every ExecCounters field, the
+// buffer pool's fetch/hit/miss totals, and MeasuredCost(). The batched
+// engine defers page charges into per-operator logs and replays them in the
+// oracle's evaluation order, so "identical" here is exact equality, not a
+// tolerance.
 //
 // Queries cover the paper's Figure 3 recursion plus randomized SPJ and
 // recursive queries over randomized databases (reusing the PR 1 generators'
@@ -25,6 +26,7 @@
 #include "exec/executor.h"
 #include "optimizer/baseline.h"
 #include "optimizer/optimizer.h"
+#include "oracle/legacy_executor.h"
 #include "query/builder.h"
 #include "query/graph_queries.h"
 #include "query/paper_queries.h"
@@ -44,11 +46,12 @@ struct ExecFingerprint {
   double measured_cost = 0;
 };
 
-ExecFingerprint RunConfig(Database* db, const PTNode& plan,
-                          const ExecOptions& options) {
-  Executor exec(db);
+/// Packages one cold run: `exec` is an Executor or the LegacyExecutor
+/// oracle, `run` evaluates the plan on it.
+template <typename Exec, typename Run>
+ExecFingerprint Fingerprint(Database* db, Exec& exec, Run run) {
   exec.ResetMeasurement(/*clear_buffer=*/true);  // cold: deterministic pool
-  Table t = exec.Execute(plan, options);
+  Table t = run();
 
   ExecFingerprint fp;
   fp.rows.reserve(t.rows.size());
@@ -66,13 +69,22 @@ ExecFingerprint RunConfig(Database* db, const PTNode& plan,
   return fp;
 }
 
-/// Runs `plan` under the legacy oracle and under every batched
-/// configuration, asserting exact equality of rows, counters and cost.
+ExecFingerprint RunConfig(Database* db, const PTNode& plan,
+                          const ExecOptions& options) {
+  Executor exec(db);
+  return Fingerprint(db, exec, [&] { return exec.Execute(plan, options); });
+}
+
+ExecFingerprint RunOracle(Database* db, const PTNode& plan) {
+  LegacyExecutor oracle(db);
+  return Fingerprint(db, oracle, [&] { return oracle.Execute(plan); });
+}
+
+/// Runs `plan` under the oracle and under every batched configuration,
+/// asserting exact equality of rows, counters and cost.
 void ExpectAllConfigsIdentical(Database* db, const PTNode& plan,
                                const std::string& label) {
-  ExecOptions legacy;
-  legacy.use_legacy = true;
-  const ExecFingerprint want = RunConfig(db, plan, legacy);
+  const ExecFingerprint want = RunOracle(db, plan);
 
   const size_t kBatchSizes[] = {1, 7, 1024};
   const size_t kThreadCounts[] = {1, 4};

@@ -20,6 +20,7 @@
 #include "optimizer/baseline.h"
 #include "optimizer/optimizer.h"
 #include "optimizer/strategy.h"
+#include "oracle/legacy_executor.h"
 #include "query/builder.h"
 #include "query/paper_queries.h"
 
@@ -144,11 +145,9 @@ TEST(ParallelStressTest, BatchedExecutorManyThreads) {
   OptimizeResult plan = opt.Optimize(Fig3Query(*env.db.schema, 4));
   ASSERT_TRUE(plan.ok()) << plan.status.ToString();
 
-  Executor reference(env.db.db.get());
+  LegacyExecutor reference(env.db.db.get());
   reference.ResetMeasurement(true);
-  ExecOptions legacy;
-  legacy.use_legacy = true;
-  const Table want = reference.Execute(*plan.plan, legacy);
+  const Table want = reference.Execute(*plan.plan);
 
   // Construct + cold-reset serially: ResetMeasurement mutates the shared
   // buffer pool, which is a single-session operation (measured cost on a

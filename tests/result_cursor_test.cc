@@ -206,21 +206,5 @@ TEST_F(ResultCursorTest, FinishWithoutReading) {
   EXPECT_EQ(cur.measured_cost(), run.measured_cost);
 }
 
-TEST_F(ResultCursorTest, LegacyEngineCursor) {
-  Session session(g_.db.get());
-  QueryOptions options;
-  options.cold = true;
-  const QueryRun run = session.Run(kFig3Text, options);
-  ASSERT_TRUE(run.ok()) << run.error();
-
-  options.legacy_exec = true;
-  options.batch_rows = 4;
-  ResultCursor cur = session.Query(kFig3Text, options);
-  ASSERT_TRUE(cur.ok()) << cur.error();
-  Table streamed = cur.ToTable();
-  EXPECT_EQ(Keys(streamed), Keys(run.answer));
-  EXPECT_EQ(cur.measured_cost(), run.measured_cost);
-}
-
 }  // namespace
 }  // namespace rodin

@@ -148,12 +148,12 @@ TEST(WireCodecTest, QueryOptionsRoundTripPreservesInheritRule) {
   EXPECT_EQ(decoded2.query.spill_budget_pages, 0u);
 }
 
-TEST(WireCodecTest, SpillOptionsRoundTripOnV4AndDropOnV3) {
+TEST(WireCodecTest, SpillOptionsRoundTrip) {
   QueryOptions original;
   original.query.spill = true;
   original.query.spill_budget_pages = 4096;
 
-  // v4 (the default): tri-state and ledger budget round-trip exactly.
+  // Tri-state and ledger budget round-trip exactly.
   PayloadWriter w;
   WireQueryOptions::FromQueryOptions(original).Encode(&w);
   const std::string payload = w.data();
@@ -192,31 +192,15 @@ TEST(WireCodecTest, SpillOptionsRoundTripOnV4AndDropOnV3) {
   EXPECT_TRUE(rb.AtEnd());
   EXPECT_FALSE(wireb.spill.has_value());
   EXPECT_EQ(wireb.spill_budget_pages, 7u);
-
-  // Encoding for a v3 peer drops the v4 block entirely: the payload is
-  // byte-identical to one from a client that never heard of spilling.
-  PayloadWriter w3;
-  WireQueryOptions::FromQueryOptions(original).Encode(&w3, /*version=*/3);
-  PayloadWriter w3plain;
-  WireQueryOptions::FromQueryOptions(QueryOptions{}).Encode(&w3plain,
-                                                            /*version=*/3);
-  EXPECT_EQ(w3.data(), w3plain.data());
-  const std::string p3 = w3.data();
-  PayloadReader r3(p3.data(), p3.size());
-  WireQueryOptions wire3;
-  ASSERT_TRUE(wire3.Decode(&r3));
-  EXPECT_TRUE(r3.AtEnd());
-  EXPECT_FALSE(wire3.spill.has_value());
-  EXPECT_EQ(wire3.spill_budget_pages, 0u);
 }
 
-TEST(WireCodecTest, FeedbackOptionsRoundTripOnV3AndDropOnV2) {
+TEST(WireCodecTest, FeedbackOptionsRoundTrip) {
   QueryOptions original;
   original.feedback.enabled = true;
   original.feedback.drift_threshold = 2.5;
   original.feedback.ewma_alpha = 0.25;
 
-  // v3 (the default): tri-state and tuning tail round-trip exactly.
+  // Tri-state and tuning tail round-trip exactly.
   PayloadWriter w;
   WireQueryOptions::FromQueryOptions(original).Encode(&w);
   const std::string payload = w.data();
@@ -242,24 +226,42 @@ TEST(WireCodecTest, FeedbackOptionsRoundTripOnV3AndDropOnV2) {
   EXPECT_TRUE(roff.AtEnd());
   ASSERT_TRUE(wireoff.feedback.has_value());
   EXPECT_FALSE(*wireoff.feedback);
+}
 
-  // Encoding for a v2 peer drops the v3 fields entirely: the payload is
-  // byte-identical to one from a client that never heard of feedback, so
-  // old servers decode it unchanged.
-  PayloadWriter w2;
-  WireQueryOptions::FromQueryOptions(original).Encode(&w2, /*version=*/2);
-  PayloadWriter w2plain;
-  WireQueryOptions::FromQueryOptions(QueryOptions{}).Encode(&w2plain,
-                                                           /*version=*/2);
-  EXPECT_EQ(w2.data(), w2plain.data());
-  const std::string p2 = w2.data();
-  PayloadReader r2(p2.data(), p2.size());
-  WireQueryOptions wire2;
-  ASSERT_TRUE(wire2.Decode(&r2));
-  EXPECT_TRUE(r2.AtEnd());
-  EXPECT_FALSE(wire2.feedback.has_value());
-  EXPECT_EQ(wire2.feedback_drift, 0.0);
-  EXPECT_EQ(wire2.feedback_alpha, 0.0);
+// Decode is the server's gate on outside input: a flag bit no field uses,
+// or a spill tri-state byte outside {0 = inherit, 1 = off, 2 = on}, is a
+// malformed payload (the server answers "malformed QUERY/EXECUTE").
+TEST(WireCodecTest, QueryOptionsDecodeRejectsUnusedFlagAndBadSpillState) {
+  auto decodes = [](uint8_t flags, const std::string& tail) {
+    PayloadWriter w;
+    w.U64(0);  // deadline_ms
+    w.U64(0);  // memory_budget_pages
+    w.U32(0);  // exec_threads
+    w.U32(0);  // batch_rows
+    w.U8(flags);
+    const std::string payload = w.Take() + tail;
+    PayloadReader r(payload.data(), payload.size());
+    WireQueryOptions wire;
+    return wire.Decode(&r) && r.AtEnd();
+  };
+  auto spill_tail = [](uint8_t state) {
+    PayloadWriter w;
+    w.U8(state);
+    w.U64(16);  // spill_budget_pages
+    return w.Take();
+  };
+  constexpr uint8_t kSpillFlag = 1u << 6;
+  // The well-formed neighbours decode.
+  EXPECT_TRUE(decodes(0, ""));
+  for (uint8_t state : {0, 1, 2}) {
+    EXPECT_TRUE(decodes(kSpillFlag, spill_tail(state))) << int{state};
+  }
+  // Flag bit 7, alone or beside valid bits.
+  EXPECT_FALSE(decodes(1u << 7, ""));
+  EXPECT_FALSE(decodes((1u << 7) | 1u, ""));
+  // Spill tri-state bytes outside {0, 1, 2}.
+  EXPECT_FALSE(decodes(kSpillFlag, spill_tail(3)));
+  EXPECT_FALSE(decodes(kSpillFlag, spill_tail(255)));
 }
 
 TEST(WireCodecTest, ValuesRoundTrip) {
@@ -880,12 +882,11 @@ TEST_F(ServerTest, RawProtocolRefusesPipelinedMutateWhileBusy) {
   EXPECT_EQ(server_->stats().mutates_staged, 0u);
 }
 
-// --------------------------------------------------- protocol v2 writes --
+// -------------------------------------------------------- write path --
 
 TEST_F(ServerTest, MutateCommitRoundTripAndVisibility) {
   StartServer(200, 2, 4);
   Client client = Connected();
-  ASSERT_EQ(client.protocol_version(), kProtocolVersion);
 
   // One batch: a fresh composer plus a slot-only rename of Composer@0 (the
   // client never learns server-side class ids — class_id 0xFFFFFFFF means
@@ -906,7 +907,7 @@ TEST_F(ServerTest, MutateCommitRoundTripAndVisibility) {
   EXPECT_EQ(applied, 2u);
   EXPECT_GE(stats_version, 2u);
 
-  // Both effects are visible to a plain v2 QUERY on the same engine.
+  // Both effects are visible to a plain QUERY on the same engine.
   ClientResult inserted = client.Query(
       R"(select [n: x.name] from x in Composer where x.name = "wire_composer")");
   ASSERT_TRUE(inserted.ok()) << inserted.status.ToString();
@@ -955,68 +956,41 @@ TEST_F(ServerTest, MutateConflictAcrossConnectionsIsRetryable) {
   rival.Goodbye();
 }
 
-// A v1 client must be served exactly as before this protocol existed: the
-// HELLO_OK negotiates down to 1, queries work, and the new frame types are
-// a protocol error on its connection.
-TEST_F(ServerTest, RawProtocolV1ClientNegotiatesDownAndCannotMutate) {
-  StartServer(200, 2, 4);
-  RawConnection raw;
-  ASSERT_TRUE(raw.Connect(server_->port()));
-  PayloadWriter hello;
-  hello.U32(1);  // a pre-write-path client
-  ASSERT_TRUE(raw.Send(EncodeFrame(FrameType::kHello, 1, hello.Take())));
-  FrameHeader header;
-  std::string payload;
-  ASSERT_TRUE(raw.ReadFrame(&header, &payload));
-  ASSERT_EQ(header.type, FrameType::kHelloOk);
-  {
-    PayloadReader r(payload.data(), payload.size());
-    uint32_t negotiated = 0;
-    std::string banner;
-    uint64_t conn_id = 0;
-    ASSERT_TRUE(r.U32(&negotiated));
-    ASSERT_TRUE(r.Str(&banner));
-    ASSERT_TRUE(r.U64(&conn_id));
-    ASSERT_TRUE(r.AtEnd());  // no v2-only fields leak into a v1 HELLO_OK
-    EXPECT_EQ(negotiated, 1u);
-    EXPECT_NE(conn_id, 0u);
-  }
-
-  // The read path is unchanged for this client.
-  PayloadWriter q;
-  q.Str(kSimpleQuery);
-  WireQueryOptions().Encode(&q);
-  ASSERT_TRUE(raw.Send(EncodeFrame(FrameType::kQuery, 2, q.Take())));
-  bool query_ok = false;
-  while (raw.ReadFrame(&header, &payload)) {
-    if (header.type != FrameType::kStatus) continue;
-    PayloadReader r(payload.data(), payload.size());
-    Status status;
-    uint64_t rows;
-    double cost;
-    ASSERT_TRUE(DecodeStatusPayload(&r, &status, &rows, &cost));
-    EXPECT_TRUE(status.ok()) << status.ToString();
-    query_ok = status.ok();
-    break;
-  }
-  ASSERT_TRUE(query_ok);
-
-  // MUTATE on a v1 connection is an unexpected frame type: refused with a
-  // STATUS and the connection dropped, exactly like any other stray frame.
-  ASSERT_TRUE(raw.Send(EncodeFrame(FrameType::kMutate, 3, "")));
-  ASSERT_TRUE(raw.ReadFrame(&header, &payload));
-  EXPECT_EQ(header.type, FrameType::kStatus);
-  {
+// The server speaks exactly kProtocolVersion: an older or newer HELLO gets
+// the typed invalid_argument STATUS and the connection is closed.
+TEST_F(ServerTest, RawProtocolRefusesOtherVersions) {
+  StartServer(40, 2, 4);
+  for (const uint32_t version :
+       {1u, kProtocolVersion - 1, kProtocolVersion + 1}) {
+    SCOPED_TRACE("HELLO v" + std::to_string(version));
+    RawConnection raw;
+    ASSERT_TRUE(raw.Connect(server_->port()));
+    PayloadWriter hello;
+    hello.U32(version);
+    ASSERT_TRUE(raw.Send(EncodeFrame(FrameType::kHello, 1, hello.Take())));
+    FrameHeader header;
+    std::string payload;
+    ASSERT_TRUE(raw.ReadFrame(&header, &payload));
+    EXPECT_EQ(header.type, FrameType::kStatus);
     PayloadReader r(payload.data(), payload.size());
     Status status;
     uint64_t rows;
     double cost;
     ASSERT_TRUE(DecodeStatusPayload(&r, &status, &rows, &cost));
     EXPECT_EQ(status.code, Status::Code::kInvalidArgument);
+    EXPECT_NE(status.message.find("unsupported protocol version"),
+              std::string::npos)
+        << status.message;
+    EXPECT_FALSE(raw.ReadFrame(&header, &payload));
   }
-  EXPECT_FALSE(raw.ReadFrame(&header, &payload));
   EXPECT_TRUE(EventuallyTrue(
-      [](const Server::Stats& s) { return s.protocol_errors >= 1; }));
+      [](const Server::Stats& s) { return s.protocol_errors >= 3; }));
+
+  // A client at the one version still connects and queries.
+  Client client = Connected();
+  ClientResult ok = client.Query(kSimpleQuery);
+  ASSERT_TRUE(ok.ok()) << ok.status.ToString();
+  client.Goodbye();
 }
 
 TEST_F(ServerTest, DisconnectRollsBackStagedTransaction) {

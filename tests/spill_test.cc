@@ -2,10 +2,10 @@
 // the temp-page ledger (spill_budget_pages = 1, spill on) must change
 // *nothing observable* about a query — same rows in the same order, every
 // ExecCounters field, the buffer pool's fetch/hit/miss totals and
-// MeasuredCost() bit-identical to an unlimited run, across the legacy
-// oracle and every batched batch_rows x exec_threads configuration. The
-// ledger budget deliberately never clamps the buffer pool's LRU capacity,
-// so this is exact equality, not a tolerance (docs/ROBUSTNESS.md).
+// MeasuredCost() bit-identical to an unlimited run and to the whole-table
+// LegacyExecutor oracle, for every batch_rows x exec_threads configuration.
+// The ledger budget deliberately never clamps the buffer pool's LRU
+// capacity, so this is exact equality, not a tolerance (docs/ROBUSTNESS.md).
 //
 // Also covered here: the cumulative live-temp-page ledger (two allocations
 // that each fit the budget individually must still trip / spill together),
@@ -35,6 +35,7 @@
 #include "obs/metrics.h"
 #include "optimizer/baseline.h"
 #include "optimizer/optimizer.h"
+#include "oracle/legacy_executor.h"
 #include "query/builder.h"
 #include "query/graph_queries.h"
 #include "query/paper_queries.h"
@@ -76,11 +77,12 @@ struct ExecFingerprint {
   uint64_t spills = 0;
 };
 
-ExecFingerprint RunConfig(Database* db, const PTNode& plan,
-                          const ExecOptions& options) {
-  Executor exec(db);
+/// Packages one cold run: `exec` is an Executor or the LegacyExecutor
+/// oracle, `run` evaluates the plan on it.
+template <typename Exec, typename Run>
+ExecFingerprint Fingerprint(Database* db, Exec& exec, Run run) {
   exec.ResetMeasurement(/*clear_buffer=*/true);  // cold: deterministic pool
-  Table t = exec.Execute(plan, options);
+  Table t = run();
 
   ExecFingerprint fp;
   fp.rows.reserve(t.rows.size());
@@ -95,8 +97,21 @@ ExecFingerprint RunConfig(Database* db, const PTNode& plan,
   fp.hits = s.hits;
   fp.misses = s.misses;
   fp.measured_cost = exec.MeasuredCost();
+  return fp;
+}
+
+ExecFingerprint RunConfig(Database* db, const PTNode& plan,
+                          const ExecOptions& options) {
+  Executor exec(db);
+  ExecFingerprint fp =
+      Fingerprint(db, exec, [&] { return exec.Execute(plan, options); });
   fp.spills = exec.spill_stats().spills;
   return fp;
+}
+
+ExecFingerprint RunOracle(Database* db, const PTNode& plan) {
+  LegacyExecutor oracle(db);
+  return Fingerprint(db, oracle, [&] { return oracle.Execute(plan); });
 }
 
 void ExpectSameFingerprint(const ExecFingerprint& got,
@@ -113,32 +128,18 @@ void ExpectSameFingerprint(const ExecFingerprint& got,
   EXPECT_EQ(got.measured_cost, want.measured_cost);  // bitwise, no ULP
 }
 
-/// Runs `plan` under the legacy oracle with an unlimited ledger, then under
-/// both ledger arms (forced spill / unlimited) for the legacy engine and
-/// every batched configuration, asserting exact equality throughout.
-/// Returns the maximum spill count seen across the forced arms, so callers
-/// that know the query materializes multiple temps can assert the forced
-/// arm really exercised the spill path.
+/// Runs `plan` under the oracle, then under both ledger arms (forced spill
+/// / unlimited) for every batched configuration, asserting exact equality
+/// throughout. Returns the maximum spill count seen across the forced arms,
+/// so callers that know the query materializes multiple temps can assert
+/// the forced arm really exercised the spill path.
 uint64_t ExpectSpillIdentical(Database* db, const PTNode& plan,
                               const std::string& label) {
   const QueryContext unlimited = UnlimitedContext();
   const QueryContext forced = ForcedSpillContext();
-
-  ExecOptions oracle;
-  oracle.use_legacy = true;
-  oracle.query = &unlimited;
-  const ExecFingerprint want = RunConfig(db, plan, oracle);
+  const ExecFingerprint want = RunOracle(db, plan);
 
   uint64_t forced_spills = 0;
-  {
-    SCOPED_TRACE(label + " legacy forced-spill");
-    ExecOptions options;
-    options.use_legacy = true;
-    options.query = &forced;
-    const ExecFingerprint got = RunConfig(db, plan, options);
-    ExpectSameFingerprint(got, want);
-    forced_spills = std::max(forced_spills, got.spills);
-  }
 
   const size_t kBatchSizes[] = {1, 7, 1024};
   const size_t kThreadCounts[] = {1, 4};
@@ -528,10 +529,8 @@ TEST(SpillLedgerTest, RowWiderThanBudgetIsRefusedEvenWithSpillOn) {
   ASSERT_TRUE(plan.ok()) << plan.status.ToString();
 
   const QueryContext forced = ForcedSpillContext();
-  for (const bool use_legacy : {true, false}) {
-    SCOPED_TRACE(use_legacy ? "legacy" : "batched");
+  {
     ExecOptions options;
-    options.use_legacy = use_legacy;
     options.query = &forced;
     Executor exec(g.db.get());
     exec.ResetMeasurement(/*clear_buffer=*/true);
@@ -575,33 +574,28 @@ TEST(SpillLedgerTest, SpilledFixCacheHitServesIdenticalRows) {
 
   const QueryContext forced = ForcedSpillContext();
   const QueryContext unlimited = UnlimitedContext();
-  for (const bool use_legacy : {true, false}) {
-    SCOPED_TRACE(use_legacy ? "legacy" : "batched");
-    // One executor per arm: the fix cache persists across Execute calls,
-    // so the second run is served from the (spilled) memoized result.
-    Executor spilling(g.db.get());
-    Executor plain(g.db.get());
-    ExecOptions forced_options;
-    forced_options.use_legacy = use_legacy;
-    forced_options.query = &forced;
-    ExecOptions plain_options;
-    plain_options.use_legacy = use_legacy;
-    plain_options.query = &unlimited;
+  // One executor per arm: the fix cache persists across Execute calls, so
+  // the second run is served from the (spilled) memoized result.
+  Executor spilling(g.db.get());
+  Executor plain(g.db.get());
+  ExecOptions forced_options;
+  forced_options.query = &forced;
+  ExecOptions plain_options;
+  plain_options.query = &unlimited;
 
-    for (int run = 0; run < 2; ++run) {
-      SCOPED_TRACE("run " + std::to_string(run));
-      spilling.ResetMeasurement(/*clear_buffer=*/true);
-      const Table got = spilling.Execute(*plan.plan, forced_options);
-      plain.ResetMeasurement(/*clear_buffer=*/true);
-      const Table want = plain.Execute(*plan.plan, plain_options);
-      ASSERT_EQ(Keys(got), Keys(want));
-      EXPECT_EQ(spilling.MeasuredCost(), plain.MeasuredCost());
-      EXPECT_EQ(spilling.counters().fix_iterations,
-                plain.counters().fix_iterations);
-    }
-    // The cache-hit run re-read the spilled payload from disk.
-    if (!use_legacy) EXPECT_GT(spilling.spill_stats().passes, 0u);
+  for (int run = 0; run < 2; ++run) {
+    SCOPED_TRACE("run " + std::to_string(run));
+    spilling.ResetMeasurement(/*clear_buffer=*/true);
+    const Table got = spilling.Execute(*plan.plan, forced_options);
+    plain.ResetMeasurement(/*clear_buffer=*/true);
+    const Table want = plain.Execute(*plan.plan, plain_options);
+    ASSERT_EQ(Keys(got), Keys(want));
+    EXPECT_EQ(spilling.MeasuredCost(), plain.MeasuredCost());
+    EXPECT_EQ(spilling.counters().fix_iterations,
+              plain.counters().fix_iterations);
   }
+  // The cache-hit run re-read the spilled payload from disk.
+  EXPECT_GT(spilling.spill_stats().passes, 0u);
 }
 
 // --- Lifecycle mid-spill ---------------------------------------------------
