@@ -179,8 +179,12 @@ void BM_LegacyRecursive(benchmark::State& state) {
 }
 BENCHMARK(BM_LegacyRecursive)->Unit(benchmark::kMillisecond)->UseRealTime();
 
+// The batched-engine rows measure interpreted evaluation, as their baseline
+// entries did when the executor interpreted by default; the compiled side
+// of the same cases is E14's rows below.
 void BM_BatchedRecursive(benchmark::State& state) {
   ExecOptions options;
+  options.compiled_eval = false;
   options.exec_threads = static_cast<size_t>(state.range(0));
   RunOnce(RecursiveCase(), options, state);
 }
@@ -194,6 +198,7 @@ BENCHMARK(BM_LegacyScanJoin)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_BatchedScanJoin(benchmark::State& state) {
   ExecOptions options;
+  options.compiled_eval = false;
   options.exec_threads = static_cast<size_t>(state.range(0));
   RunOnce(ScanCase(), options, state);
 }
@@ -202,6 +207,7 @@ BENCHMARK(BM_BatchedScanJoin)->Arg(1)->Arg(2)->Arg(4)
 
 void BM_BatchedScanJoinHash(benchmark::State& state) {
   ExecOptions options;
+  options.compiled_eval = false;
   options.hash_equijoin = true;
   options.exec_threads = static_cast<size_t>(state.range(0));
   RunOnce(ScanCase(), options, state);
@@ -211,8 +217,8 @@ BENCHMARK(BM_BatchedScanJoinHash)->Arg(1)->Arg(4)
 
 // E14 — interpreted vs compiled expression evaluation. Same plans, same
 // answers, bit-identical accounting (vm_differential_fuzz_test); these rows
-// measure the wall-time side of the contract. The knob is pinned explicitly
-// on both sides so the rows stay comparable under RODIN_COMPILED_EVAL=1 CI.
+// measure the wall-time side of the contract. Compiled is the executor's
+// default; the interpreted rows turn it off.
 void BM_ScanFilterInterp(benchmark::State& state) {
   ExecOptions options;
   options.compiled_eval = false;
@@ -222,7 +228,6 @@ BENCHMARK(BM_ScanFilterInterp)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_ScanFilterCompiled(benchmark::State& state) {
   ExecOptions options;
-  options.compiled_eval = true;
   RunOnce(FilterCase(), options, state);
 }
 BENCHMARK(BM_ScanFilterCompiled)->Unit(benchmark::kMillisecond)->UseRealTime();
@@ -236,14 +241,12 @@ BENCHMARK(BM_DeepPathInterp)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_DeepPathCompiled(benchmark::State& state) {
   ExecOptions options;
-  options.compiled_eval = true;
   RunOnce(DeepPathCase(), options, state);
 }
 BENCHMARK(BM_DeepPathCompiled)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_CompiledRecursive(benchmark::State& state) {
   ExecOptions options;
-  options.compiled_eval = true;
   options.exec_threads = static_cast<size_t>(state.range(0));
   RunOnce(RecursiveCase(), options, state);
 }
@@ -252,6 +255,7 @@ BENCHMARK(BM_CompiledRecursive)->Arg(1)->Arg(4)
 
 void BM_BatchRowsSweep(benchmark::State& state) {
   ExecOptions options;
+  options.compiled_eval = false;
   options.batch_rows = static_cast<size_t>(state.range(0));
   RunOnce(RecursiveCase(), options, state);
 }

@@ -125,7 +125,7 @@ class PlanCache {
 ///   - the optimizer-relevant knobs: seed, search_threads, gen strategy,
 ///     fold_views, naive_fixpoint and all TransformOptions fields.
 /// Lifecycle knobs (deadline / cancel / memory budget) and executor knobs
-/// (batch_rows / exec_threads / compiled_eval) are deliberately excluded:
+/// (batch_rows / exec_threads) are deliberately excluded:
 /// they never change the chosen plan, only how (long) it runs.
 ///
 /// `graph_digest` lets PreparedQuery amortize the graph rendering; pass

@@ -8,7 +8,6 @@
 #include "common/check.h"
 #include "common/faults.h"
 #include "common/string_util.h"
-#include "exec/vm/compiler.h"
 #include "plan/pt_printer.h"
 #include "query/parser.h"
 
@@ -52,6 +51,23 @@ void PrintExplainNode(const ExplainNode& node, int depth, std::string* out) {
   for (const ExplainNode& c : node.children) {
     PrintExplainNode(c, depth + 1, out);
   }
+}
+
+/// Renders the chunks the engine compiled for `node`'s subtree, in plan
+/// pre-order, one block per (operator, role).
+void AppendChunkListings(
+    const PTNode& node,
+    const std::map<const PTNode*, std::vector<ChunkListing>>& listings,
+    std::string* out) {
+  auto it = listings.find(&node);
+  if (it != listings.end()) {
+    for (const ChunkListing& l : it->second) {
+      *out += PTNodeLabel(node) + " · " + l.role + ":\n";
+      *out += l.disassembly.empty() ? "(interpreted: not compilable)\n"
+                                    : l.disassembly;
+    }
+  }
+  for (const auto& c : node.children) AppendChunkListings(*c, listings, out);
 }
 
 }  // namespace
@@ -683,12 +699,8 @@ ExplainResult Session::ExplainImpl(const QueryGraph& graph,
   ex.reoptimized_drift = run.reoptimized_drift;
   ex.plan = BuildExplainNode(*run.optimized.plan, exec.op_stats());
   ex.node_stats_ = FlattenPlanStats(*run.optimized.plan, exec.op_stats());
-  // Disassemble what the compiled engine actually ran: the same knob
-  // resolution as ExecOptionsFrom (explicit override, else executor/env
-  // default).
-  if (options.compiled_eval.value_or(CompiledEvalEnvDefault())) {
-    ex.vm_disassembly = vm::DisassemblePlan(*run.optimized.plan);
-  }
+  AppendChunkListings(*run.optimized.plan, exec.chunk_listings(),
+                      &ex.vm_disassembly);
   return ex;
 }
 

@@ -108,9 +108,10 @@ struct ExplainResult {
   /// "[plan: re-optimized (drift N.Nx)]"); see QueryRun::reoptimized_drift.
   double reoptimized_drift = 0;
 
-  /// Per-operator bytecode disassembly (see src/exec/vm/), one section per
-  /// compilable expression in the chosen plan. Filled only when the run
-  /// evaluated with compiled eval; ToString appends it after the plan tree.
+  /// Per-operator bytecode disassembly (see src/exec/vm/): one section per
+  /// operator expression the engine compiled, in plan pre-order, with
+  /// declined ones marked interpreted. ToString appends it after the plan
+  /// tree.
   std::string vm_disassembly;
 
   std::shared_ptr<const obs::Trace> trace;  // set when collect_trace

@@ -54,7 +54,7 @@ struct ExecCtx {
   size_t batch_rows = 1024;
   size_t threads = 1;
   bool hash_equijoin = false;
-  bool compiled_eval = false;
+  bool compiled_eval = true;
   bool collect_op_stats = false;
   ThreadPool* pool = nullptr;
   std::map<std::string, FixCacheEntry>* fix_cache = nullptr;
@@ -68,6 +68,10 @@ struct ExecCtx {
   uint64_t vm_chunks = 0;
   uint64_t vm_instrs = 0;
   uint64_t vm_rows = 0;
+  /// Executor-owned compile-outcome listing; set only when op stats are
+  /// collected (the EXPLAIN path), so other runs never render chunks.
+  std::map<const PTNode*, std::vector<ChunkListing>>* chunk_listings =
+      nullptr;
   /// Engine-local per-node profile with *exclusive* page counts; made
   /// inclusive by a plan walk at Finalize, then merged into the executor.
   std::map<const PTNode*, OpStats> local_stats;
@@ -341,44 +345,56 @@ class DedupBuffer {
   std::vector<std::shared_ptr<SpillFile>> runs_;
 };
 
-/// Compiles an operator expression to bytecode when compiled eval is on,
-/// folding the chunk into the engine's vm profile. nullopt (knob off, null
-/// expression, or a shape the compiler declines) = evaluate interpreted;
-/// the interpreter remains the semantic oracle either way.
+/// Folds one compile outcome of `node`'s `role` expression into the
+/// engine's vm profile and, on the EXPLAIN path, its listing: one entry per
+/// (node, role), since Fix arms rebuild their operators every iteration.
+/// nullopt (a shape the compiler declines) = evaluate interpreted.
+std::optional<vm::BytecodeChunk> NoteChunk(
+    ExecCtx* ctx, const PTNode* node, const char* role,
+    std::optional<vm::BytecodeChunk> chunk) {
+  if (chunk.has_value()) {
+    ++ctx->vm_chunks;
+    ctx->vm_instrs += chunk->code.size();
+  }
+  if (ctx->chunk_listings != nullptr) {
+    std::vector<ChunkListing>& list = (*ctx->chunk_listings)[node];
+    const bool listed =
+        std::any_of(list.begin(), list.end(),
+                    [role](const ChunkListing& l) { return l.role == role; });
+    if (!listed) {
+      list.push_back({role, chunk.has_value() ? chunk->Disassemble() : ""});
+    }
+  }
+  return chunk;
+}
+
+/// Compiles an operator expression to bytecode. nullopt (compiled_eval
+/// off, null expression, or a declined shape) = evaluate interpreted; the
+/// interpreter remains the semantic oracle either way.
 std::optional<vm::BytecodeChunk> CompilePredChunk(ExecCtx* ctx,
+                                                  const PTNode* node,
+                                                  const char* role,
                                                   const ExprPtr& pred,
                                                   const RowSchema& schema) {
   if (!ctx->compiled_eval || pred == nullptr) return std::nullopt;
-  std::optional<vm::BytecodeChunk> chunk = vm::CompilePredicate(pred, schema);
-  if (chunk.has_value()) {
-    ++ctx->vm_chunks;
-    ctx->vm_instrs += chunk->code.size();
-  }
-  return chunk;
+  return NoteChunk(ctx, node, role, vm::CompilePredicate(pred, schema));
 }
 
 std::optional<vm::BytecodeChunk> CompileMultiChunk(ExecCtx* ctx,
+                                                   const PTNode* node,
+                                                   const char* role,
                                                    const ExprPtr& expr,
                                                    const RowSchema& schema) {
   if (!ctx->compiled_eval || expr == nullptr) return std::nullopt;
-  std::optional<vm::BytecodeChunk> chunk = vm::CompileMulti(expr, schema);
-  if (chunk.has_value()) {
-    ++ctx->vm_chunks;
-    ctx->vm_instrs += chunk->code.size();
-  }
-  return chunk;
+  return NoteChunk(ctx, node, role, vm::CompileMulti(expr, schema));
 }
 
-std::optional<vm::BytecodeChunk> CompileProjChunk(
-    ExecCtx* ctx, const std::vector<OutCol>& proj, const RowSchema& schema) {
+std::optional<vm::BytecodeChunk> CompileProjChunk(ExecCtx* ctx,
+                                                  const PTNode* node,
+                                                  const RowSchema& schema) {
   if (!ctx->compiled_eval) return std::nullopt;
-  std::optional<vm::BytecodeChunk> chunk =
-      vm::CompileProjection(proj, schema);
-  if (chunk.has_value()) {
-    ++ctx->vm_chunks;
-    ctx->vm_instrs += chunk->code.size();
-  }
-  return chunk;
+  return NoteChunk(ctx, node, "projection",
+                   vm::CompileProjection(node->proj, schema));
 }
 
 /// One predicate evaluation, compiled when a chunk exists. The caller has
@@ -589,7 +605,8 @@ class FilterScanOp : public Op {
   FilterScanOp(ExecCtx* ctx, const PTNode* node) : Op(ctx, node) {
     schema_.cols = node->cols;
     src_ = ctx->db->ResolveScan(node->children[0]->entity);
-    pred_chunk_ = CompilePredChunk(ctx, node->pred, schema_);
+    pred_chunk_ =
+        CompilePredChunk(ctx, node, "predicate", node->pred, schema_);
   }
 
  protected:
@@ -632,7 +649,8 @@ class IndexSelOp : public Op {
     RODIN_CHECK(child.kind == PTKind::kEntity, "index access needs entity");
     RODIN_CHECK(node->sel_index != nullptr, "index access without an index");
     extent_ = child.entity.extent;
-    pred_chunk_ = CompilePredChunk(ctx, node->pred, schema_);
+    pred_chunk_ =
+        CompilePredChunk(ctx, node, "predicate", node->pred, schema_);
   }
 
  protected:
@@ -698,7 +716,8 @@ class FilterOp : public Op {
   FilterOp(ExecCtx* ctx, const PTNode* node) : Op(ctx, node) {
     schema_.cols = node->cols;
     children_.push_back(BuildOp(ctx, node->children[0].get()));
-    pred_chunk_ = CompilePredChunk(ctx, node->pred, children_[0]->schema());
+    pred_chunk_ = CompilePredChunk(ctx, node, "predicate", node->pred,
+                                   children_[0]->schema());
   }
 
  protected:
@@ -733,7 +752,7 @@ class ProjOp : public Op {
   ProjOp(ExecCtx* ctx, const PTNode* node) : Op(ctx, node) {
     schema_.cols = node->cols;
     children_.push_back(BuildOp(ctx, node->children[0].get()));
-    proj_chunk_ = CompileProjChunk(ctx, node->proj, children_[0]->schema());
+    proj_chunk_ = CompileProjChunk(ctx, node, children_[0]->schema());
   }
 
  protected:
@@ -937,8 +956,10 @@ class IndexJoinOp : public Op {
     probe_ = ExtractIndexProbe(*node, right.binding, &residual_);
     RODIN_CHECK(probe_ != nullptr, "index join probe not found in predicate");
     extent_ = right.entity.extent;
-    probe_chunk_ = CompileMultiChunk(ctx, probe_, children_[0]->schema());
-    residual_chunk_ = CompilePredChunk(ctx, residual_, schema_);
+    probe_chunk_ =
+        CompileMultiChunk(ctx, node, "probe", probe_, children_[0]->schema());
+    residual_chunk_ =
+        CompilePredChunk(ctx, node, "residual", residual_, schema_);
   }
 
  protected:
@@ -997,7 +1018,8 @@ class NLJoinOp : public Op {
     schema_.cols = node->cols;
     children_.push_back(BuildOp(ctx, node->children[0].get()));
     children_.push_back(BuildOp(ctx, node->children[1].get()));
-    pred_chunk_ = CompilePredChunk(ctx, node->pred, schema_);
+    pred_chunk_ =
+        CompilePredChunk(ctx, node, "predicate", node->pred, schema_);
   }
 
  protected:
@@ -1089,8 +1111,10 @@ class NLJoinOp : public Op {
       }
     }
     if (probe_ == nullptr) return;
-    probe_chunk_ = CompileMultiChunk(ctx_, probe_, children_[0]->schema());
-    build_chunk_ = CompileMultiChunk(ctx_, build_, children_[1]->schema());
+    probe_chunk_ = CompileMultiChunk(ctx_, node_, "probe", probe_,
+                                     children_[0]->schema());
+    build_chunk_ = CompileMultiChunk(ctx_, node_, "build", build_,
+                                     children_[1]->schema());
     // Build: evaluate the inner key expression per inner row. Key rows are
     // {key, row_index} pairs funneled through the morsel row sink.
     std::vector<Row> keyed;
@@ -1496,6 +1520,7 @@ BatchEngine::BatchEngine(const Config& config, const PTNode& plan)
   ctx.hash_equijoin = config.hash_equijoin;
   ctx.compiled_eval = config.compiled_eval;
   ctx.collect_op_stats = config.collect_op_stats;
+  if (config.collect_op_stats) ctx.chunk_listings = config.chunk_listings;
   ctx.pool = config.pool;
   ctx.fix_cache = config.fix_cache;
   ctx.query = config.query;
@@ -1601,17 +1626,15 @@ void BatchEngine::Finalize() {
   if (impl_->cfg.spill_stats != nullptr) {
     impl_->cfg.spill_stats->Add(ctx.spill);
   }
-  if (ctx.compiled_eval) {
-    static obs::Counter* chunks =
-        obs::MetricsRegistry::Global().GetCounter("rodin.vm.chunks_compiled");
-    static obs::Counter* instrs =
-        obs::MetricsRegistry::Global().GetCounter("rodin.vm.chunk_instrs");
-    static obs::Counter* rows =
-        obs::MetricsRegistry::Global().GetCounter("rodin.vm.rows_evaluated");
-    chunks->Add(ctx.vm_chunks);
-    instrs->Add(ctx.vm_instrs);
-    rows->Add(ctx.vm_rows);
-  }
+  static obs::Counter* vm_chunks =
+      obs::MetricsRegistry::Global().GetCounter("rodin.vm.chunks_compiled");
+  static obs::Counter* vm_instrs =
+      obs::MetricsRegistry::Global().GetCounter("rodin.vm.chunk_instrs");
+  static obs::Counter* vm_rows =
+      obs::MetricsRegistry::Global().GetCounter("rodin.vm.rows_evaluated");
+  vm_chunks->Add(ctx.vm_chunks);
+  vm_instrs->Add(ctx.vm_instrs);
+  vm_rows->Add(ctx.vm_rows);
   if (impl_->cfg.counters != nullptr) {
     ExecCounters* c = impl_->cfg.counters;
     c->predicate_evals += ctx.counters.predicate_evals;

@@ -6,6 +6,7 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "exec/executor.h"
 #include "exec/row_batch.h"
@@ -38,15 +39,20 @@ class BatchEngine {
     bool hash_equijoin = false;
     /// Compile operator predicates / projections / path programs to
     /// register bytecode at operator-build time and run the chunks per row
-    /// (see src/exec/vm/). Accounting — ExecCounters, OpStats, pool
-    /// counters, MeasuredCost — is bit-identical to interpreted eval for
-    /// every batch size and thread count; only wall time changes.
-    bool compiled_eval = false;
+    /// (see src/exec/vm/); declined expressions are interpreted.
+    /// Accounting — ExecCounters, OpStats, pool counters, MeasuredCost — is
+    /// bit-identical to interpreted eval for every batch size and thread
+    /// count; only wall time changes.
+    bool compiled_eval = true;
     ThreadPool* pool = nullptr;  // shared worker pool; null = inline
     std::map<std::string, FixCacheEntry>* fix_cache = nullptr;
     bool collect_op_stats = false;
     /// Finalize() sinks, all owned by the Executor.
     std::map<const PTNode*, OpStats>* op_stats = nullptr;
+    /// Compile outcomes, listed as operators are built when
+    /// collect_op_stats is on (see Executor::chunk_listings).
+    std::map<const PTNode*, std::vector<ChunkListing>>* chunk_listings =
+        nullptr;
     ExecCounters* counters = nullptr;
     uint64_t* method_cost_fp = nullptr;
     /// The run's lifecycle budget (see ExecOptions::query). Polled on the
@@ -97,7 +103,7 @@ class BatchEngine {
 
   /// Bytecode chunks compiled while building this engine's operator tree
   /// (Fix arms recompile per iteration) and their summed instruction
-  /// counts. Zero under interpreted eval; feeds the execute span's args.
+  /// counts. Zero with compiled_eval off; feeds the execute span's args.
   uint64_t vm_chunks() const;
   uint64_t vm_instrs() const;
 

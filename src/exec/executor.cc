@@ -59,6 +59,7 @@ void Executor::ResetMeasurement(bool clear_buffer) {
   method_cost_fp_ = 0;
   spill_stats_ = SpillStats{};
   op_stats_.clear();
+  chunk_listings_.clear();
   if (clear_buffer) {
     db_->buffer_pool().Clear();
   } else {
@@ -72,6 +73,7 @@ void Executor::ResetMeasurementShared() {
   method_cost_fp_ = 0;
   spill_stats_ = SpillStats{};
   op_stats_.clear();
+  chunk_listings_.clear();
   start_misses_ = db_->buffer_pool().stats().misses;
 }
 
@@ -131,14 +133,6 @@ Status MakeResourceExhausted(SpillOpTag tag, uint64_t requested,
 uint64_t TempRowPages(size_t ncols) {
   const uint64_t bytes = 16 * std::max<size_t>(1, ncols);
   return std::max<uint64_t>(1, (bytes + kPageSizeBytes - 1) / kPageSizeBytes);
-}
-
-bool CompiledEvalEnvDefault() {
-  static const bool on = [] {
-    const char* v = std::getenv("RODIN_COMPILED_EVAL");
-    return v != nullptr && v[0] != '\0' && std::string(v) != "0";
-  }();
-  return on;
 }
 
 bool SpillEnvDefault() {
@@ -206,6 +200,7 @@ std::unique_ptr<BatchEngine> Executor::NewEngine(const PTNode& plan,
   cfg.fix_cache = &fix_cache_;
   cfg.collect_op_stats = collect_op_stats_;
   cfg.op_stats = &op_stats_;
+  cfg.chunk_listings = &chunk_listings_;
   cfg.counters = &counters_;
   cfg.method_cost_fp = &method_cost_fp_;
   cfg.query = options.query;
@@ -231,15 +226,13 @@ Status Executor::ExecuteInto(const PTNode& plan, const ExecOptions& options,
   engine->Finalize();
   const Status status = engine->status();
   if (!status.ok()) out->rows.clear();
-  if (tracer_ != nullptr && options.compiled_eval) {
+  if (tracer_ != nullptr) {
     tracer_->AddArg(span, "vm_chunks",
                     StrFormat("%llu", static_cast<unsigned long long>(
                                           engine->vm_chunks())));
     tracer_->AddArg(span, "vm_instrs",
                     StrFormat("%llu", static_cast<unsigned long long>(
                                           engine->vm_instrs())));
-  }
-  if (tracer_ != nullptr) {
     tracer_->AddArg(span, "rows", StrFormat("%zu", out->rows.size()));
     tracer_->AddArg(span, "measured_cost", MeasuredCost());
     if (!status.ok()) tracer_->AddArg(span, "status", status.code_name());

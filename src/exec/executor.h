@@ -47,10 +47,12 @@ struct OpStats {
   double micros = 0;    // coordinator wall time spent in the operator
 };
 
-/// Process-wide default for ExecOptions::compiled_eval: true when the
-/// RODIN_COMPILED_EVAL environment variable is set to anything but "0"
-/// (read once, like the plan-cache and fault-injection switches).
-bool CompiledEvalEnvDefault();
+/// One operator expression the engine handed to the bytecode compiler,
+/// listed when CollectOpStats(true) for EXPLAIN's disassembly section.
+struct ChunkListing {
+  std::string role;         // predicate, projection, probe, residual, build
+  std::string disassembly;  // empty = declined, evaluated interpreted
+};
 
 /// Process-wide default for QueryContext::spill: on unless the RODIN_SPILL
 /// environment variable is "0" or "off" (read once).
@@ -161,12 +163,13 @@ struct ExecOptions {
   size_t batch_rows = 1024;   // rows per operator batch (min 1)
   size_t exec_threads = 1;    // worker threads for morsel-parallel operators
   /// Compile operator predicates, projections and path-step programs into
-  /// register bytecode at plan time and run the chunks per row (see
-  /// src/exec/vm/). Same rows, same ExecCounters / OpStats / MeasuredCost
-  /// bit for bit, for every batch_rows x exec_threads combination — the
-  /// interpreter remains the differential oracle. Defaults to the
-  /// RODIN_COMPILED_EVAL environment switch.
-  bool compiled_eval = CompiledEvalEnvDefault();
+  /// register bytecode at operator-build time and run the chunks per row
+  /// (see src/exec/vm/); an expression the compiler declines is
+  /// interpreted. Same rows, same ExecCounters / OpStats / MeasuredCost bit
+  /// for bit, for every batch_rows x exec_threads combination. Only the
+  /// differential oracles and the interpreted bench rows turn this off, to
+  /// run the interpreter (exec/eval_core) over every expression.
+  bool compiled_eval = true;
   /// Build a hash table over the inner of an equi nested-loop join instead
   /// of scanning it per outer row. Produces the identical result set and
   /// order, but honestly changes predicate_evals and page accounting (fewer
@@ -290,6 +293,14 @@ class Executor {
     return op_stats_;
   }
 
+  /// Every operator expression compiled (or declined) since the last reset,
+  /// keyed by plan node, one entry per role in compile order. Empty unless
+  /// CollectOpStats(true).
+  const std::map<const PTNode*, std::vector<ChunkListing>>& chunk_listings()
+      const {
+    return chunk_listings_;
+  }
+
   /// Spill activity (real partitioned spill files) since the last reset.
   const SpillStats& spill_stats() const { return spill_stats_; }
 
@@ -325,6 +336,7 @@ class Executor {
   SpillStats spill_stats_;
   obs::Tracer* tracer_ = nullptr;
   std::map<const PTNode*, OpStats> op_stats_;
+  std::map<const PTNode*, std::vector<ChunkListing>> chunk_listings_;
   /// Worker pools by size, shared across queries; see PoolFor().
   std::vector<std::unique_ptr<ThreadPool>> pools_;
 

@@ -4,7 +4,6 @@
 
 #include "common/check.h"
 #include "exec/eval_core.h"
-#include "plan/pt_printer.h"
 
 namespace rodin::vm {
 
@@ -317,79 +316,6 @@ std::optional<BytecodeChunk> CompileProjection(const std::vector<OutCol>& proj,
   }
   c.Emit(OpCode::kRetProj, 0, 0, 0, static_cast<uint32_t>(proj.size()));
   return Finish(std::move(chunk), c.ok());
-}
-
-namespace {
-
-void AppendChunk(std::string* out, const PTNode& node, const char* what,
-                 const std::optional<BytecodeChunk>& chunk) {
-  *out += PTNodeLabel(node) + " · " + what + ":\n";
-  if (chunk.has_value()) {
-    *out += chunk->Disassemble();
-  } else {
-    *out += "(interpreted: not compilable)\n";
-  }
-}
-
-/// Mirrors BuildOp's expression wiring: which expressions each operator
-/// compiles, and against which input schema.
-void DisassembleNode(const PTNode& node, std::string* out) {
-  switch (node.kind) {
-    case PTKind::kSel: {
-      // IndexSel and the fused FilterScan evaluate against the node's own
-      // columns; the streaming Filter evaluates against its child's.
-      const bool streaming = node.sel_access == SelAccess::kSeqScan &&
-                             node.children[0]->kind != PTKind::kEntity;
-      RowSchema schema;
-      schema.cols = streaming ? node.children[0]->cols : node.cols;
-      if (node.pred != nullptr) {
-        AppendChunk(out, node, "predicate",
-                    CompilePredicate(node.pred, schema));
-      }
-      break;
-    }
-    case PTKind::kProj: {
-      RowSchema in;
-      in.cols = node.children[0]->cols;
-      AppendChunk(out, node, "projection", CompileProjection(node.proj, in));
-      break;
-    }
-    case PTKind::kEJ: {
-      if (node.algo == JoinAlgo::kIndexJoin) {
-        ExprPtr residual;
-        const ExprPtr probe =
-            ExtractIndexProbe(node, node.children[1]->binding, &residual);
-        RowSchema left;
-        left.cols = node.children[0]->cols;
-        if (probe != nullptr) {
-          AppendChunk(out, node, "probe", CompileMulti(probe, left));
-        }
-        if (residual != nullptr) {
-          RowSchema schema;
-          schema.cols = node.cols;
-          AppendChunk(out, node, "residual",
-                      CompilePredicate(residual, schema));
-        }
-      } else if (node.pred != nullptr) {
-        RowSchema schema;
-        schema.cols = node.cols;
-        AppendChunk(out, node, "predicate",
-                    CompilePredicate(node.pred, schema));
-      }
-      break;
-    }
-    default:
-      break;
-  }
-  for (const auto& c : node.children) DisassembleNode(*c, out);
-}
-
-}  // namespace
-
-std::string DisassemblePlan(const PTNode& plan) {
-  std::string out;
-  DisassembleNode(plan, &out);
-  return out;
 }
 
 }  // namespace rodin::vm

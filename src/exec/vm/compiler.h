@@ -2,7 +2,6 @@
 #define RODIN_EXEC_VM_COMPILER_H_
 
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "exec/row.h"
@@ -38,12 +37,6 @@ std::optional<BytecodeChunk> CompileMulti(const ExprPtr& expr,
 /// cross-product over the registers, as ProjOp does for interpreted eval.
 std::optional<BytecodeChunk> CompileProjection(const std::vector<OutCol>& proj,
                                                const RowSchema& schema);
-
-/// Renders every chunk compiled-eval would run for `plan`, one block per
-/// operator expression (selection predicates, projection lists, index-join
-/// probes and residuals, join predicates), mirroring the batch engine's
-/// operator construction. Used by EXPLAIN's disassembly section.
-std::string DisassemblePlan(const PTNode& plan);
 
 }  // namespace rodin::vm
 

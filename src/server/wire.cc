@@ -49,8 +49,8 @@ constexpr uint8_t kTagSet = 7;
 
 // WireQueryOptions flag bits.
 constexpr uint8_t kFlagBypassPlanCache = 1u << 0;
-constexpr uint8_t kFlagCompiledEvalSet = 1u << 1;
-constexpr uint8_t kFlagCompiledEvalOn = 1u << 2;
+// Bits 1 and 2 are unused and rejected like bit 7; the other bits keep their
+// positions so every frame a current client sends keeps its bytes.
 // Adaptive-feedback override. The tuning flag gates a two-F64 tail (drift
 // threshold, EWMA alpha) appended after the flags byte.
 constexpr uint8_t kFlagFeedbackSet = 1u << 3;
@@ -64,8 +64,7 @@ constexpr uint8_t kSpillInherit = 0;
 constexpr uint8_t kSpillOff = 1;
 constexpr uint8_t kSpillOn = 2;
 // Every bit above; a flags byte with any other bit set is malformed.
-constexpr uint8_t kKnownFlags = kFlagBypassPlanCache | kFlagCompiledEvalSet |
-                                kFlagCompiledEvalOn | kFlagFeedbackSet |
+constexpr uint8_t kKnownFlags = kFlagBypassPlanCache | kFlagFeedbackSet |
                                 kFlagFeedbackOn | kFlagFeedbackTuning |
                                 kFlagSpill;
 
@@ -168,10 +167,6 @@ void WireQueryOptions::Encode(PayloadWriter* w) const {
   w->U32(batch_rows);
   uint8_t flags = 0;
   if (bypass_plan_cache) flags |= kFlagBypassPlanCache;
-  if (compiled_eval.has_value()) {
-    flags |= kFlagCompiledEvalSet;
-    if (*compiled_eval) flags |= kFlagCompiledEvalOn;
-  }
   if (feedback.has_value()) {
     flags |= kFlagFeedbackSet;
     if (*feedback) flags |= kFlagFeedbackOn;
@@ -200,11 +195,6 @@ bool WireQueryOptions::Decode(PayloadReader* r) {
     return false;
   }
   bypass_plan_cache = (flags & kFlagBypassPlanCache) != 0;
-  if ((flags & kFlagCompiledEvalSet) != 0) {
-    compiled_eval = (flags & kFlagCompiledEvalOn) != 0;
-  } else {
-    compiled_eval.reset();
-  }
   if ((flags & kFlagFeedbackSet) != 0) {
     feedback = (flags & kFlagFeedbackOn) != 0;
   } else {
@@ -237,7 +227,6 @@ QueryOptions WireQueryOptions::ToQueryOptions() const {
   options.query.memory_budget_pages = memory_budget_pages;
   if (exec_threads != 0) options.exec_threads = exec_threads;
   if (batch_rows != 0) options.batch_rows = batch_rows;
-  options.compiled_eval = compiled_eval;
   options.bypass_plan_cache = bypass_plan_cache;
   options.feedback.enabled = feedback;
   options.feedback.drift_threshold = feedback_drift;
@@ -259,7 +248,6 @@ WireQueryOptions WireQueryOptions::FromQueryOptions(
   wire.batch_rows =
       options.batch_rows ? static_cast<uint32_t>(*options.batch_rows) : 0;
   wire.bypass_plan_cache = options.bypass_plan_cache;
-  wire.compiled_eval = options.compiled_eval;
   wire.feedback = options.feedback.enabled;
   wire.feedback_drift = options.feedback.drift_threshold;
   wire.feedback_alpha = options.feedback.ewma_alpha;

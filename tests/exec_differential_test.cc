@@ -7,9 +7,10 @@
 // oracle's evaluation order, so "identical" here is exact equality, not a
 // tolerance.
 //
-// Queries cover the paper's Figure 3 recursion plus randomized SPJ and
-// recursive queries over randomized databases (reusing the PR 1 generators'
-// shapes). Failures reproduce from the seed in the test name; setting
+// Queries cover the paper's Figure 3 recursion, a projection the bytecode
+// compiler declines (so the engine falls back to the interpreter), and
+// randomized SPJ and recursive queries over randomized databases (reusing
+// the PR 1 generators' shapes). Failures reproduce from the seed in the test name; setting
 // RODIN_TEST_SEED=N shifts every seed by N for fresh inputs (the effective
 // seed is logged on failure).
 
@@ -18,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "api/session.h"
 #include "common/rng.h"
 #include "cost/cost_model.h"
 #include "cost/stats.h"
@@ -30,6 +32,7 @@
 #include "query/builder.h"
 #include "query/graph_queries.h"
 #include "query/paper_queries.h"
+#include "query/parser.h"
 #include "query/query_graph.h"
 #include "test_seed.h"
 
@@ -131,6 +134,50 @@ TEST(ExecDifferentialTest, Fig3Harpsichord) {
   CostModel cost(g.db.get(), &stats);
   OptimizeAndCompare(g.db.get(), stats, cost, Fig3Query(*g.schema), 42,
                      "fig3");
+}
+
+// --- The interpreter fallback ----------------------------------------------
+
+// The compiler declines a projection list over 255 columns, so the engine
+// interprets that one expression while the selection below it still runs
+// compiled. A declined expression is the only way a product run reaches
+// the interpreter; it must meet the same contract against the oracle.
+TEST(ExecDifferentialTest, DeclinedProjectionFallsBackToInterpreter) {
+  MusicConfig config;
+  config.num_composers = 60;
+  config.lineage_depth = 8;
+  GeneratedDb g = GenerateMusicDb(config, PaperMusicPhysical());
+  const char* const kExprs[] = {"x.name", "x.birthyear", "x.master.name",
+                                "x.age"};
+  std::string text = "select [";
+  for (int k = 0; k < 256; ++k) {
+    if (k > 0) text += ", ";
+    text += 'c';
+    text += std::to_string(k);
+    text += ": ";
+    text += kExprs[k % 4];
+  }
+  text += "] from x in Composer where x.birthyear < 1750";
+
+  const ParseResult parsed = ParseQuery(text, *g.schema);
+  ASSERT_TRUE(parsed.ok()) << parsed.error();
+  Stats stats = Stats::Derive(*g.db);
+  CostModel cost(g.db.get(), &stats);
+  Optimizer optimizer(g.db.get(), &stats, &cost, CostBasedOptions(42));
+  OptimizeResult plan = optimizer.Optimize(parsed.graph);
+  ASSERT_TRUE(plan.ok()) << plan.status.ToString();
+  ExpectAllConfigsIdentical(g.db.get(), *plan.plan, "proj256");
+
+  Session session(g.db.get());
+  const ExplainResult ex = session.Explain(text);
+  ASSERT_TRUE(ex.ok()) << ex.status.ToString();
+  EXPECT_NE(ex.vm_disassembly.find(
+                " · projection:\n(interpreted: not compilable)\n"),
+            std::string::npos)
+      << ex.vm_disassembly;
+  EXPECT_NE(ex.vm_disassembly.find(" · predicate:\nchunk: "),
+            std::string::npos)
+      << ex.vm_disassembly;
 }
 
 // --- Randomized queries over randomized databases --------------------------

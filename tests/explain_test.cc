@@ -176,10 +176,6 @@ TEST_F(ExplainTest, GoldenReport) {
   Session session(g_.db.get(), CostBasedOptions());
   QueryOptions options;
   options.cold = true;
-  // Pinned on (not inherited from RODIN_COMPILED_EVAL) so the golden text —
-  // including the bytecode disassembly block — is identical in every CI
-  // config.
-  options.compiled_eval = true;
   const ExplainResult ex = session.Explain(Fig3Query(*g_.schema, 6), options);
   ASSERT_TRUE(ex.ok()) << ex.status.ToString();
   const std::string got = NormalizeNumbers(ex.ToString());
@@ -197,6 +193,31 @@ TEST_F(ExplainTest, GoldenReport) {
   std::stringstream want;
   want << in.rdbuf();
   EXPECT_EQ(got, want.str());
+}
+
+// The disassembly lists what the engine compiled, not a re-derivation of
+// the plan: with hash_equijoin the nested-loop EJ inside the Fix also
+// compiles its hash probe (outer key) and build (inner key) chunks.
+TEST_F(ExplainTest, HashEquijoinListsProbeAndBuildChunks) {
+  Session session(g_.db.get(), CostBasedOptions());
+  QueryOptions options;
+  options.hash_equijoin = true;
+  const ExplainResult ex = session.Explain(Fig3Query(*g_.schema, 6), options);
+  ASSERT_TRUE(ex.ok()) << ex.status.ToString();
+  const std::string& text = ex.vm_disassembly;
+  const std::string ej = "EJ (i.disciple = x.master) (nested loop) · ";
+  const size_t pred = text.find(ej + "predicate:\n");
+  const size_t probe = text.find(ej + "probe:\n");
+  const size_t build = text.find(ej + "build:\n");
+  ASSERT_NE(pred, std::string::npos) << text;
+  ASSERT_NE(probe, std::string::npos) << text;
+  ASSERT_NE(build, std::string::npos) << text;
+  EXPECT_LT(pred, probe);
+  EXPECT_LT(probe, build);
+  // Listed once each, although the Fix rebuilds the EJ every iteration.
+  EXPECT_EQ(text.find(ej + "probe:\n", probe + 1), std::string::npos);
+  EXPECT_EQ(text.find(ej + "build:\n", build + 1), std::string::npos);
+  EXPECT_EQ(text.find("(interpreted: not compilable)"), std::string::npos);
 }
 
 }  // namespace

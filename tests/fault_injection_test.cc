@@ -116,60 +116,6 @@ TEST_F(FaultInjectionTest, RetriedPageFetchFaultIsBitIdenticalToCleanRun) {
   EXPECT_EQ(retried.measured_cost, clean.measured_cost);
 }
 
-TEST_F(FaultInjectionTest, RetriedFaultUnderCompiledEvalIsBitIdenticalToCleanRun) {
-  // Same headline guarantee with the bytecode VM engaged: the faulted
-  // attempt's partial work is discarded and the surviving compiled retry
-  // matches a clean *interpreted* run bit for bit — the retry path reuses
-  // the same chunks and the same deferred-charge replay, so nothing about
-  // the eval engine may leak into the accounting.
-  Session session(g_.db.get());
-  QueryOptions interp;
-  interp.cold = true;
-  interp.compiled_eval = false;
-  const QueryRun clean = session.Run(kFig3Text, interp);
-  ASSERT_TRUE(clean.ok()) << clean.error();
-
-  FaultConfig fc;
-  fc.enabled = true;
-  fc.page_fetch_fail = 1.0;
-  fc.alloc_fail = 0;
-  fc.max_faults = 1;
-  FaultInjector::Global().Configure(fc);
-
-  QueryOptions compiled = interp;
-  compiled.compiled_eval = true;
-  const QueryRun retried = session.Run(kFig3Text, compiled);
-  ASSERT_TRUE(retried.ok()) << retried.status.ToString();
-  EXPECT_EQ(FaultInjector::Global().faults_injected(), 1u);
-  EXPECT_EQ(retried.plan_text, clean.plan_text);
-  EXPECT_EQ(Keys(retried.answer), Keys(clean.answer));
-  ExpectSameCounters(retried.counters, clean.counters);
-  EXPECT_EQ(retried.measured_cost, clean.measured_cost);
-}
-
-TEST_F(FaultInjectionTest, RetriedAllocFaultUnderCompiledEvalIsBitIdentical) {
-  Session session(g_.db.get());
-  QueryOptions options;
-  options.cold = true;
-  options.compiled_eval = true;
-  const QueryRun clean = session.Run(kFig3Text, options);
-  ASSERT_TRUE(clean.ok()) << clean.error();
-
-  FaultConfig fc;
-  fc.enabled = true;
-  fc.page_fetch_fail = 0;
-  fc.alloc_fail = 1.0;
-  fc.max_faults = 1;
-  FaultInjector::Global().Configure(fc);
-
-  const QueryRun retried = session.Run(kFig3Text, options);
-  ASSERT_TRUE(retried.ok()) << retried.status.ToString();
-  EXPECT_EQ(FaultInjector::Global().faults_injected(), 1u);
-  EXPECT_EQ(Keys(retried.answer), Keys(clean.answer));
-  ExpectSameCounters(retried.counters, clean.counters);
-  EXPECT_EQ(retried.measured_cost, clean.measured_cost);
-}
-
 TEST_F(FaultInjectionTest, RetriedAllocFaultIsBitIdenticalToCleanRun) {
   Session session(g_.db.get());
   QueryOptions options;

@@ -150,25 +150,30 @@ TEST_F(LifecycleTest, CancelPartiallyReadCursorFromAnotherThread) {
 
 TEST_F(LifecycleTest, ConcurrentCancelWhileStreaming) {
   Session session(g_.db.get());
-  QueryOptions options;
-  options.cold = true;
-  options.batch_rows = 1;
-  CancelToken token = options.query.cancel;
+  // Sequential, and with bytecode chunks running on 4 morsel workers.
+  for (size_t threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    QueryOptions options;
+    options.cold = true;
+    options.batch_rows = 1;
+    options.exec_threads = threads;
+    CancelToken token = options.query.cancel;
 
-  ResultCursor cur = session.Query(kFig3Text, options);
-  ASSERT_TRUE(cur.ok()) << cur.status().ToString();
+    ResultCursor cur = session.Query(kFig3Text, options);
+    ASSERT_TRUE(cur.ok()) << cur.status().ToString();
 
-  // Genuinely concurrent: the canceller races the reader. Either the stream
-  // finishes clean (cancel landed too late) or it stops with kCancelled;
-  // TSan verifies the race on the shared flag is benign.
-  std::thread canceller([token] { token.RequestCancel(); });
-  RowBatch batch;
-  while (cur.Next(&batch)) {
-  }
-  canceller.join();
-  EXPECT_TRUE(cur.finished());
-  if (!cur.ok()) {
-    EXPECT_EQ(cur.status().code, Status::Code::kCancelled);
+    // Genuinely concurrent: the canceller races the reader. Either the
+    // stream finishes clean (cancel landed too late) or it stops with
+    // kCancelled; TSan verifies the race on the shared flag is benign.
+    std::thread canceller([token] { token.RequestCancel(); });
+    RowBatch batch;
+    while (cur.Next(&batch)) {
+    }
+    canceller.join();
+    EXPECT_TRUE(cur.finished());
+    if (!cur.ok()) {
+      EXPECT_EQ(cur.status().code, Status::Code::kCancelled);
+    }
   }
 }
 
@@ -199,7 +204,7 @@ TEST_F(LifecycleTest, DeadlineStopsPartiallyReadCursor) {
 // Reads exactly `batches_before_cancel` single-row batches, then requests
 // cancellation from the reader thread itself — a deterministic cancel point:
 // the coordinator observes the flag on the next poll, so two runs that only
-// differ in the eval engine stop after identical work.
+// differ in the evaluator stop after identical work.
 struct PartialRun {
   Status::Code code;
   size_t rows_read;
@@ -207,39 +212,54 @@ struct PartialRun {
   double measured_cost;
 };
 
-PartialRun CancelAfterBatches(Session& session, bool compiled,
+PartialRun CancelAfterBatches(ResultCursor* cur, const CancelToken& token,
                               size_t batches_before_cancel) {
-  QueryOptions options;
-  options.cold = true;
-  options.batch_rows = 1;
-  options.compiled_eval = compiled;
-  CancelToken token = options.query.cancel;
-
-  ResultCursor cur = session.Query(kFig3Text, options);
-  EXPECT_TRUE(cur.ok()) << cur.status().ToString();
   PartialRun out{};
   RowBatch batch;
-  for (size_t i = 0; i < batches_before_cancel && cur.Next(&batch); ++i) {
+  for (size_t i = 0; i < batches_before_cancel && cur->Next(&batch); ++i) {
     out.rows_read += batch.rows.size();
   }
   token.RequestCancel();  // mid-batch-stream, deterministic poll point
-  while (cur.Next(&batch)) out.rows_read += batch.rows.size();
-  EXPECT_TRUE(cur.finished());
-  out.code = cur.status().code;
-  out.counters = cur.counters();
-  out.measured_cost = cur.measured_cost();
+  while (cur->Next(&batch)) out.rows_read += batch.rows.size();
+  EXPECT_TRUE(cur->finished());
+  out.code = cur->status().code;
+  out.counters = cur->counters();
+  out.measured_cost = cur->measured_cost();
   return out;
 }
 
-TEST_F(LifecycleTest, MidStreamCancelPartialAccountingMatchesUnderCompiledEval) {
-  // The satellite contract: a cursor cancelled at the same mid-stream point
-  // finalizes with *identical partial accounting* whether the predicates ran
-  // interpreted or compiled. Partial replay is the hard case — the compiled
-  // engine must have charged/counted exactly what the interpreter would
-  // have at every batch boundary, not merely at the end of the run.
+TEST_F(LifecycleTest, MidStreamCancelPartialAccountingMatchesInterpreter) {
+  // A cursor cancelled at the same mid-stream point finalizes with
+  // *identical partial accounting* whether the expressions ran compiled
+  // (the session's only evaluator) or interpreted (a raw executor with
+  // compiled_eval off, on the same plan). Partial replay is the hard case —
+  // the compiled engine must have charged/counted exactly what the
+  // interpreter would have at every batch boundary, not merely at the end
+  // of the run.
   Session session(g_.db.get());
-  const PartialRun interp = CancelAfterBatches(session, /*compiled=*/false, 3);
-  const PartialRun comp = CancelAfterBatches(session, /*compiled=*/true, 3);
+  QueryOptions plan_only;
+  plan_only.explain_only = true;
+  const QueryRun planned = session.Run(kFig3Text, plan_only);
+  ASSERT_TRUE(planned.ok()) << planned.error();
+
+  QueryOptions options;
+  options.cold = true;
+  options.batch_rows = 1;
+  ResultCursor cur = session.Query(kFig3Text, options);
+  ASSERT_TRUE(cur.ok()) << cur.status().ToString();
+  const PartialRun comp = CancelAfterBatches(&cur, options.query.cancel, 3);
+
+  Executor exec(g_.db.get());
+  exec.ResetMeasurement(/*clear_buffer=*/true);
+  QueryContext query;
+  ExecOptions interp_options;
+  interp_options.batch_rows = 1;
+  interp_options.compiled_eval = false;
+  interp_options.query = &query;
+  ResultCursor raw = exec.ExecuteStream(*planned.optimized.plan,
+                                        interp_options);
+  ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+  const PartialRun interp = CancelAfterBatches(&raw, query.cancel, 3);
 
   EXPECT_EQ(interp.code, Status::Code::kCancelled);
   EXPECT_EQ(comp.code, Status::Code::kCancelled);
@@ -250,57 +270,6 @@ TEST_F(LifecycleTest, MidStreamCancelPartialAccountingMatchesUnderCompiledEval) 
   EXPECT_EQ(comp.counters.rows_produced, interp.counters.rows_produced);
   EXPECT_EQ(comp.counters.fix_iterations, interp.counters.fix_iterations);
   EXPECT_EQ(comp.measured_cost, interp.measured_cost);
-}
-
-TEST_F(LifecycleTest, ConcurrentCancelWhileStreamingCompiledEval) {
-  // TSan target: the canceller races a reader that is executing bytecode
-  // chunks on morsel workers. Same benign-race contract as the interpreted
-  // variant — clean finish or kCancelled, nothing else.
-  Session session(g_.db.get());
-  QueryOptions options;
-  options.cold = true;
-  options.batch_rows = 1;
-  options.exec_threads = 4;
-  options.compiled_eval = true;
-  CancelToken token = options.query.cancel;
-
-  ResultCursor cur = session.Query(kFig3Text, options);
-  ASSERT_TRUE(cur.ok()) << cur.status().ToString();
-  std::thread canceller([token] { token.RequestCancel(); });
-  RowBatch batch;
-  while (cur.Next(&batch)) {
-  }
-  canceller.join();
-  EXPECT_TRUE(cur.finished());
-  if (!cur.ok()) {
-    EXPECT_EQ(cur.status().code, Status::Code::kCancelled);
-  }
-}
-
-TEST_F(LifecycleTest, DeadlineStopsPartiallyReadCompiledEvalCursor) {
-  // Deadline trip mid-stream with the VM engaged: the budget poll sits at
-  // the batch boundary, outside the chunk dispatch loop, so compiled eval
-  // must surface the same kDeadlineExceeded edge as interpreted eval.
-  Session session(g_.db.get());
-  QueryOptions options;
-  options.cold = true;
-  options.batch_rows = 1;
-  options.compiled_eval = true;
-  options.query.deadline_ms = 200;
-
-  ResultCursor cur = session.Query(kFig3Text, options);
-  if (!cur.ok()) {
-    EXPECT_EQ(cur.status().code, Status::Code::kDeadlineExceeded);
-    return;
-  }
-  RowBatch batch;
-  cur.Next(&batch);
-  std::this_thread::sleep_for(std::chrono::milliseconds(250));
-  while (cur.Next(&batch)) {
-  }
-  EXPECT_TRUE(cur.finished());
-  ASSERT_FALSE(cur.ok());
-  EXPECT_EQ(cur.status().code, Status::Code::kDeadlineExceeded);
 }
 
 TEST_F(LifecycleTest, GenerousDeadlineIsDeterministicallyIdentical) {

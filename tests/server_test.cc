@@ -108,7 +108,6 @@ TEST(WireCodecTest, QueryOptionsRoundTripPreservesInheritRule) {
   original.query.deadline_ms = 250;
   original.query.memory_budget_pages = 1000;
   original.exec_threads = 4;
-  original.compiled_eval = false;
   original.bypass_plan_cache = true;
   // batch_rows stays nullopt: must survive as "inherit", not become 0.
 
@@ -126,8 +125,6 @@ TEST(WireCodecTest, QueryOptionsRoundTripPreservesInheritRule) {
   ASSERT_TRUE(decoded.exec_threads.has_value());
   EXPECT_EQ(*decoded.exec_threads, 4u);
   EXPECT_FALSE(decoded.batch_rows.has_value());
-  ASSERT_TRUE(decoded.compiled_eval.has_value());
-  EXPECT_FALSE(*decoded.compiled_eval);
   EXPECT_TRUE(decoded.bypass_plan_cache);
 
   QueryOptions defaults;
@@ -140,7 +137,6 @@ TEST(WireCodecTest, QueryOptionsRoundTripPreservesInheritRule) {
   const QueryOptions decoded2 = wire2.ToQueryOptions();
   EXPECT_FALSE(decoded2.exec_threads.has_value());
   EXPECT_FALSE(decoded2.batch_rows.has_value());
-  EXPECT_FALSE(decoded2.compiled_eval.has_value());
   EXPECT_FALSE(decoded2.feedback.enabled.has_value());
   EXPECT_EQ(decoded2.feedback.drift_threshold, 0.0);
   EXPECT_EQ(decoded2.feedback.ewma_alpha, 0.0);
@@ -259,6 +255,9 @@ TEST(WireCodecTest, QueryOptionsDecodeRejectsUnusedFlagAndBadSpillState) {
   // Flag bit 7, alone or beside valid bits.
   EXPECT_FALSE(decodes(1u << 7, ""));
   EXPECT_FALSE(decodes((1u << 7) | 1u, ""));
+  // Unused bits 1 and 2.
+  EXPECT_FALSE(decodes(1u << 1, ""));
+  EXPECT_FALSE(decodes(1u << 2, ""));
   // Spill tri-state bytes outside {0, 1, 2}.
   EXPECT_FALSE(decodes(kSpillFlag, spill_tail(3)));
   EXPECT_FALSE(decodes(kSpillFlag, spill_tail(255)));

@@ -138,30 +138,28 @@ TEST_F(TutorialTest, StreamingSectionWorksAsWritten) {
 }
 
 TEST_F(TutorialTest, CompiledEvalSectionWorksAsWritten) {
-  // Mirrors "Compiled expression evaluation": same rows, bit-identical
-  // accounting, and the EXPLAIN disassembly block appears with the knob on.
+  // Mirrors "Compiled expression evaluation": the session's compiled run
+  // and a raw interpreted executor on the same plan return the same rows
+  // with bit-identical accounting, and EXPLAIN carries the disassembly.
   Session session(db_.get());
   QueryOptions ro;
   ro.cold = true;
-  ro.compiled_eval = true;
-  const QueryRun compiled = session.Run(kQuery, ro);
-  ASSERT_TRUE(compiled.ok()) << compiled.error();
+  const QueryRun run = session.Run(kQuery, ro);
+  ASSERT_TRUE(run.ok()) << run.error();
 
-  ro.compiled_eval = false;
-  const QueryRun interpreted = session.Run(kQuery, ro);
-  ASSERT_TRUE(interpreted.ok()) << interpreted.error();
+  Executor oracle(db_.get());
+  oracle.ResetMeasurement(/*clear_buffer=*/true);
+  ExecOptions interp;
+  interp.compiled_eval = false;
+  const Table rows = oracle.Execute(*run.optimized.plan, interp);
 
-  EXPECT_EQ(compiled.answer.rows, interpreted.answer.rows);
-  EXPECT_EQ(compiled.measured_cost, interpreted.measured_cost);
-  EXPECT_EQ(compiled.counters.predicate_evals,
-            interpreted.counters.predicate_evals);
-  EXPECT_EQ(compiled.counters.method_calls, interpreted.counters.method_calls);
-  EXPECT_EQ(compiled.counters.method_cost, interpreted.counters.method_cost);
+  EXPECT_EQ(rows.rows, run.answer.rows);
+  EXPECT_EQ(oracle.MeasuredCost(), run.measured_cost);
+  EXPECT_EQ(oracle.counters().predicate_evals, run.counters.predicate_evals);
+  EXPECT_EQ(oracle.counters().method_calls, run.counters.method_calls);
+  EXPECT_EQ(oracle.counters().method_cost, run.counters.method_cost);
 
-  QueryOptions ex;
-  ex.cold = true;
-  ex.compiled_eval = true;
-  const ExplainResult report = session.Explain(kQuery, ex);
+  const ExplainResult report = session.Explain(kQuery, ro);
   ASSERT_TRUE(report.ok()) << report.status.ToString();
   EXPECT_NE(report.ToString().find("bytecode (compiled eval):"),
             std::string::npos);

@@ -11,10 +11,11 @@
 //     VM, so every dereference must land in the same order).
 //
 //  2. Query-level: randomized SPJ and recursive queries optimized and
-//     executed with compiled_eval on, over batch sizes {1, 7, 1024} x
-//     threads {1, 4}, against the interpreted batched engine as oracle —
-//     rows, every ExecCounters field, pool fetch/hit/miss totals and
-//     MeasuredCost() must be bit-identical.
+//     executed compiled (the executor's only product mode), over batch
+//     sizes {1, 7, 1024} x threads {1, 4}, against the batched engine with
+//     ExecOptions::compiled_eval off — every expression interpreted — as
+//     oracle: rows, every ExecCounters field, pool fetch/hit/miss totals
+//     and MeasuredCost() must be bit-identical.
 //
 // Seeds shift with RODIN_TEST_SEED (see tests/test_seed.h); failures log the
 // effective seed and the generated program's disassembly.
@@ -376,9 +377,8 @@ ExecFingerprint RunConfig(Database* db, const PTNode& plan,
   return fp;
 }
 
-/// Interpreted batched engine as oracle (compiled_eval explicitly off, so
-/// the test is meaningful even under RODIN_COMPILED_EVAL=1), compiled eval
-/// across the full batch-size x thread-count matrix.
+/// Interpreted batched engine (compiled_eval off) as oracle, compiled eval
+/// (the default) across the full batch-size x thread-count matrix.
 void ExpectCompiledIdentical(Database* db, const PTNode& plan,
                              const std::string& label) {
   ExecOptions interp;
@@ -392,7 +392,6 @@ void ExpectCompiledIdentical(Database* db, const PTNode& plan,
       SCOPED_TRACE(label + " batch_rows=" + std::to_string(batch) +
                    " exec_threads=" + std::to_string(threads));
       ExecOptions options;
-      options.compiled_eval = true;
       options.batch_rows = batch;
       options.exec_threads = threads;
       const ExecFingerprint got = RunConfig(db, plan, options);

@@ -2,7 +2,7 @@
 // least once (proved by the debug opcode-hit counter, not by reading the
 // compiler's output), the constant pool and path table deduplicate,
 // disassembly is deterministic and complete, malformed chunks are rejected
-// with kInternal, and the plan cache is oblivious to the compiled_eval knob.
+// with kInternal, and EXPLAIN carries the disassembly.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "api/session.h"
-#include "common/faults.h"
 #include "datagen/music_gen.h"
 #include "exec/eval_core.h"
 #include "exec/executor.h"
@@ -267,60 +266,19 @@ TEST_F(VmTest, UnresolvablePathFallsBackToInterpreter) {
   EXPECT_FALSE(vm::CompileMulti(Expr::Path("y", {}), schema_).has_value());
 }
 
-// --- The knob stays out of the plan-cache fingerprint -----------------------
-
-TEST_F(VmTest, PlanCacheHitsAcrossCompiledEvalFlip) {
-  Session session(g_.db.get());
-  const std::string text =
-      "select [n: x.name] from x in Composer where x.birthyear < 1700";
-
-  QueryOptions interp;
-  interp.cold = true;  // both runs cold, so measured cost is comparable
-  interp.compiled_eval = false;
-  const QueryRun first = session.Run(text, interp);
-  ASSERT_TRUE(first.ok()) << first.error();
-  // Under RODIN_PLAN_CACHE=0 nothing is ever cached, and with the fault
-  // injector enabled the session never inserts either — the cross-knob hit
-  // cannot be observed in those configs; the rest of the suite still covers
-  // the knob.
-  if (!PlanCacheEnabledByEnv() || FaultInjector::Global().enabled()) {
-    GTEST_SKIP();
-  }
-  EXPECT_FALSE(first.plan_cached);
-
-  QueryOptions compiled;
-  compiled.cold = true;
-  compiled.compiled_eval = true;
-  const QueryRun second = session.Run(text, compiled);
-  ASSERT_TRUE(second.ok()) << second.error();
-  EXPECT_TRUE(second.plan_cached)
-      << "flipping compiled_eval must not change the plan-cache fingerprint";
-  ASSERT_EQ(second.answer.rows.size(), first.answer.rows.size());
-  EXPECT_EQ(second.measured_cost, first.measured_cost);
-}
-
 // --- EXPLAIN carries the disassembly ----------------------------------------
 
-TEST_F(VmTest, ExplainIncludesDisassemblyOnlyWhenCompiled) {
+TEST_F(VmTest, ExplainIncludesDisassembly) {
   Session session(g_.db.get());
   const std::string text =
       "select [n: x.name] from x in Composer where x.birthyear < 1700";
 
-  QueryOptions compiled;
-  compiled.compiled_eval = true;
-  const ExplainResult on = session.Explain(text, compiled);
-  ASSERT_TRUE(on.ok()) << on.status.ToString();
-  EXPECT_FALSE(on.vm_disassembly.empty());
-  EXPECT_NE(on.ToString().find("bytecode (compiled eval):"),
+  const ExplainResult ex = session.Explain(text);
+  ASSERT_TRUE(ex.ok()) << ex.status.ToString();
+  EXPECT_FALSE(ex.vm_disassembly.empty());
+  EXPECT_NE(ex.ToString().find("bytecode (compiled eval):"),
             std::string::npos);
-  EXPECT_NE(on.vm_disassembly.find("RetBool"), std::string::npos);
-
-  QueryOptions interp;
-  interp.compiled_eval = false;
-  const ExplainResult off = session.Explain(text, interp);
-  ASSERT_TRUE(off.ok()) << off.status.ToString();
-  EXPECT_TRUE(off.vm_disassembly.empty());
-  EXPECT_EQ(off.ToString().find("bytecode"), std::string::npos);
+  EXPECT_NE(ex.vm_disassembly.find("RetBool"), std::string::npos);
 }
 
 }  // namespace
