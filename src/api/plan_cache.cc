@@ -29,24 +29,8 @@ void BumpInvalidations(uint64_t n) {
 
 PlanCache::PlanCache(size_t capacity) : capacity_(capacity) {}
 
-PlanCacheEntry PlanCache::CopyEntry(const PlanCacheEntry& e) {
-  PlanCacheEntry out;
-  out.plan = e.plan != nullptr ? e.plan->Clone() : nullptr;
-  out.cost = e.cost;
-  out.plans_explored = e.plans_explored;
-  out.stages = e.stages;
-  out.decisions = e.decisions;
-  out.pushed_sel = e.pushed_sel;
-  out.pushed_join = e.pushed_join;
-  out.pushed_proj = e.pushed_proj;
-  out.pushed_variant_cost = e.pushed_variant_cost;
-  out.unpushed_variant_cost = e.unpushed_variant_cost;
-  out.stats_version = e.stats_version;
-  return out;
-}
-
 bool PlanCache::Lookup(const std::string& key, uint64_t stats_version,
-                       PlanCacheEntry* out) {
+                       OptimizeResult* result, DecisionLog* decisions) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(key);
   if (it == entries_.end()) {
@@ -66,7 +50,9 @@ bool PlanCache::Lookup(const std::string& key, uint64_t stats_version,
     return false;
   }
   lru_.splice(lru_.begin(), lru_, it->second.second);  // move to front
-  *out = CopyEntry(it->second.first);
+  const PlanCacheEntry& entry = it->second.first;
+  *result = entry.result.Clone();
+  if (decisions != nullptr) *decisions = entry.decisions;
   ++stats_.hits;
   BumpHits();
   return true;

@@ -19,26 +19,16 @@ namespace rodin {
 
 /// One cached optimization outcome: everything Session needs to skip the
 /// rewrite -> translate -> generatePT -> transformPT pipeline on a repeat of
-/// the same query. The plan inside is a *master copy* — the cache clones it
-/// out on every hit, so a cached plan is never shared mutably between runs
-/// (execution never mutates a PT, but QueryRun/cursor keepalives own their
-/// plan, so each run gets its own tree).
+/// the same query. The plan inside `result` is a *master copy* — the cache
+/// clones it out on every hit, so a cached plan is never shared mutably
+/// between runs (execution never mutates a PT, but QueryRun/cursor
+/// keepalives own their plan, so each run gets its own tree).
 struct PlanCacheEntry {
-  PTPtr plan;
-  double cost = 0;
-  size_t plans_explored = 0;
-  std::vector<StageReport> stages;  // the original optimization's reports
-  DecisionLog decisions;            // replayed into hits' decision logs
-
-  // transformPT outcome, mirrored from OptimizeResult.
-  bool pushed_sel = false;
-  bool pushed_join = false;
-  bool pushed_proj = false;
-  double pushed_variant_cost = -1;
-  double unpushed_variant_cost = -1;
+  OptimizeResult result;  // the original optimization, stage reports included
+  DecisionLog decisions;  // replayed into hits' decision logs
 
   /// Session's stats version at insert time. A lookup under a newer version
-  /// drops the entry (RefreshStats invalidation).
+  /// drops the entry (stats-refresh invalidation).
   uint64_t stats_version = 0;
 };
 
@@ -77,12 +67,13 @@ class PlanCache {
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
 
-  /// Looks up `key` under `stats_version`. On a hit, fills `*out` with a
-  /// deep copy (cloned plan) and returns true. An entry recorded under a
-  /// different stats version is erased (counted as an invalidation) and the
-  /// lookup reports a miss.
+  /// Looks up `key` under `stats_version`. On a hit, fills `*result` with a
+  /// deep copy of the cached optimization (cloned plan) and `*decisions`
+  /// (may be null) with its decision log, and returns true. An entry
+  /// recorded under a different stats version is erased (counted as an
+  /// invalidation) and the lookup reports a miss.
   bool Lookup(const std::string& key, uint64_t stats_version,
-              PlanCacheEntry* out);
+              OptimizeResult* result, DecisionLog* decisions);
 
   /// Inserts (or replaces) the entry for `key`, evicting the least recently
   /// used entry when over capacity. A capacity of 0 disables insertion.
@@ -102,9 +93,6 @@ class PlanCache {
   PlanCacheStats stats() const;
 
  private:
-  /// Deep copy helper (PTPtr is move-only; entries clone through this).
-  static PlanCacheEntry CopyEntry(const PlanCacheEntry& e);
-
   mutable std::mutex mu_;
   size_t capacity_;
   PlanCacheStats stats_;
@@ -136,7 +124,7 @@ std::string PlanFingerprint(const QueryGraph& graph, const Database& db,
                             const std::string* graph_digest = nullptr);
 
 /// Assembles the fingerprint from precomputed components (Session caches
-/// the physical identity per RefreshStats, PreparedQuery the graph digest).
+/// the physical identity per stats refresh, PreparedQuery the graph digest).
 /// PlanFingerprint is this plus the component derivations.
 std::string ComposeFingerprint(const std::string& graph_digest,
                                const std::string& physical_identity,

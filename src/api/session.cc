@@ -146,6 +146,65 @@ ResultCursor PreparedQuery::Query(const QueryOptions& options) {
   return session_->QueryImpl(graph_, options, &digest_);
 }
 
+/// One run's acquired plan — the acquire step's output — and the learn
+/// step that runs once the execute step is over. A value type over
+/// shared_ptrs: a cursor's keepalive owns one, so its on_finish hook can
+/// learn after the session is gone.
+struct PlanAcquisition {
+  /// The run's armed lifecycle context: one copy of the caller's budget,
+  /// deadline clock started at acquisition, referenced by pointer from every
+  /// stage. The cancel token inside still shares the caller's flag.
+  QueryContext qctx;
+  OptimizeResult optimized;
+  DecisionLog decisions;
+  bool plan_cached = false;      // see QueryRun::plan_cached
+  double reoptimized_drift = 0;  // see QueryRun::reoptimized_drift
+
+  // What the learn step needs, resolved at acquisition.
+  std::shared_ptr<FeedbackRegistry> feedback;  // null: feedback off this run
+  std::shared_ptr<PlanCache> cache;
+  std::string cache_key;  // empty: the run bypassed the cache
+  uint64_t stats_version = 0;
+  double alpha = kDefaultFeedbackAlpha;
+  double drift_threshold = kDefaultDriftThreshold;
+
+  /// The learn step: feedback harvest, then drift demotion. Only complete,
+  /// clean runs teach the registry — `drained` to the last row, `status`
+  /// ok, an untruncated plan, no fault injector. Anything retried under the
+  /// injector, truncated by an anytime budget, cancelled, abandoned or
+  /// failed contributes zero observations: a perturbed run's measurements
+  /// describe the perturbation, not the data.
+  ///
+  /// Drift demotion: a *cached* plan whose measured cost strayed >=
+  /// drift_threshold from its estimate is erased so the next acquisition
+  /// re-optimizes under current corrections. Freshly optimized plans are
+  /// never demoted — they already used the latest corrections, and demoting
+  /// them would re-run the pipeline forever.
+  void Learn(const Status& status, bool drained, const Executor& exec,
+             obs::Tracer* tracer) const {
+    if (feedback == nullptr || !drained || !status.ok() ||
+        optimized.truncated() || FaultInjector::Global().enabled()) {
+      return;
+    }
+    uint64_t span = 0;
+    if (tracer != nullptr) span = tracer->Begin("feedback.harvest", "cost");
+    const size_t harvested = feedback->Harvest(
+        FlattenPlanStats(*optimized.plan, exec.op_stats()), stats_version,
+        alpha);
+    if (tracer != nullptr) {
+      tracer->AddArg(span, "observations", static_cast<double>(harvested));
+      tracer->End(span);
+    }
+    const double measured = exec.MeasuredCost();
+    const double est = optimized.cost;
+    if (!plan_cached || cache_key.empty() || measured <= 0 || est <= 0) return;
+    const double ratio = std::max(measured / est, est / measured);
+    if (ratio >= drift_threshold && cache->Erase(cache_key)) {
+      feedback->NoteDemotion(cache_key, ratio);
+    }
+  }
+};
+
 Session::Session(Database* db, OptimizerOptions options, CostParams cost_params,
                  std::shared_ptr<PlanCache> plan_cache,
                  std::shared_ptr<FeedbackRegistry> feedback)
@@ -163,23 +222,6 @@ Session::Session(Database* db, OptimizerOptions options, CostParams cost_params,
   MaybeRefreshStats();
 }
 
-Session::EffectiveFeedback Session::ResolveFeedback(
-    const QueryOptions& options) {
-  EffectiveFeedback out;
-  out.on = options.feedback.enabled.value_or(FeedbackEnvDefault());
-  // Same rule as the plan cache: an enabled injector perturbs and retries
-  // attempts, so neither side of the loop may run — corrections applied
-  // mid-test would make a retried run's plan differ from the clean run it
-  // must be bit-identical to, and harvesting is blocked anyway. Full
-  // bypass, both apply and harvest.
-  if (FaultInjector::Global().enabled()) out.on = false;
-  if (options.feedback.drift_threshold > 0) {
-    out.drift_threshold = options.feedback.drift_threshold;
-  }
-  if (options.feedback.ewma_alpha > 0) out.alpha = options.feedback.ewma_alpha;
-  return out;
-}
-
 void Session::MaybeRefreshStats() {
   const uint64_t version = tm_->stats_version();
   if (stats_ != nullptr && version == stats_version_) return;
@@ -189,12 +231,6 @@ void Session::MaybeRefreshStats() {
   // Statistics moved, so plans chosen under the old ones must not be served
   // any more; entries fingerprinted at an older version drop at next lookup.
   stats_version_ = version;
-}
-
-void Session::RefreshStats() {
-  tm_->BumpStatsVersion();
-  TxnManager::ReadGuard guard(tm_);
-  MaybeRefreshStats();
 }
 
 MutationResult Session::Apply(uint64_t txn_id, const MutationBatch& batch) {
@@ -231,15 +267,6 @@ CommitResult Session::Mutate(const MutationBatch& batch,
   return res;
 }
 
-OptimizerOptions Session::EffectiveOptions(const QueryOptions& options) const {
-  OptimizerOptions opt = options_;
-  if (options.search_threads.has_value()) {
-    opt.search_threads = *options.search_threads;
-  }
-  if (options.seed.has_value()) opt.seed = *options.seed;
-  return opt;
-}
-
 OptimizeResult Session::Optimize(const QueryGraph& graph) {
   TxnManager::ReadGuard guard(tm_);
   MaybeRefreshStats();
@@ -247,17 +274,21 @@ OptimizeResult Session::Optimize(const QueryGraph& graph) {
   return optimizer.Optimize(graph);
 }
 
-bool Session::OptimizeThroughCache(const QueryGraph& graph,
+void Session::ResetMeasurement(Executor* exec, bool cold) const {
+  if (shared_db_) {
+    exec->ResetMeasurementShared();
+  } else {
+    exec->ResetMeasurement(cold);
+  }
+}
+
+void Session::OptimizeThroughCache(const QueryGraph& graph,
                                    const OptimizerOptions& opt_options,
                                    const ObsSink& sink,
                                    const QueryOptions& options,
                                    const std::string* graph_digest,
                                    const FeedbackCorrections* corrections,
-                                   OptimizeResult* out,
-                                   DecisionLog* decisions,
-                                   std::string* key_out,
-                                   double* reoptimized_drift) {
-  if (reoptimized_drift != nullptr) *reoptimized_drift = 0;
+                                   PlanAcquisition* acq) {
   // The injector makes any attempt (optimizer or executor) abortable and
   // retryable; a plan produced or reused under it could differ from the
   // clean-run plan in unverifiable ways. Bypass entirely: no lookups, no
@@ -274,33 +305,19 @@ bool Session::OptimizeThroughCache(const QueryGraph& graph,
   // exercise.
   CostParams effective_params = cost_params_;
   effective_params.memory_budget_pages = options.query.memory_budget_pages;
-  std::string key;
   if (use_cache) {
-    key = ComposeFingerprint(
+    acq->cache_key = ComposeFingerprint(
         graph_digest != nullptr ? *graph_digest : GraphDigest(graph),
         physical_identity_, effective_params, opt_options);
-    if (key_out != nullptr) *key_out = key;
-    PlanCacheEntry entry;
-    if (plan_cache_->Lookup(key, stats_version_, &entry)) {
-      out->plan = std::move(entry.plan);
-      out->status = Status::Ok();
-      out->cost = entry.cost;
-      out->plans_explored = entry.plans_explored;
-      out->stages = entry.stages;
-      out->pushed_sel = entry.pushed_sel;
-      out->pushed_join = entry.pushed_join;
-      out->pushed_proj = entry.pushed_proj;
-      out->pushed_variant_cost = entry.pushed_variant_cost;
-      out->unpushed_variant_cost = entry.unpushed_variant_cost;
-      if (decisions != nullptr) *decisions = std::move(entry.decisions);
-      return true;
+    if (plan_cache_->Lookup(acq->cache_key, stats_version_, &acq->optimized,
+                            &acq->decisions)) {
+      acq->plan_cached = true;
+      return;
     }
     // Miss. If the feedback loop demoted this fingerprint for cost drift,
     // this optimization is the re-optimization the demotion asked for —
     // consume the note so EXPLAIN can say why the pipeline ran again.
-    if (reoptimized_drift != nullptr) {
-      *reoptimized_drift = feedback_->TakeDemotionNote(key);
-    }
+    acq->reoptimized_drift = feedback_->TakeDemotionNote(acq->cache_key);
   }
 
   // Feedback corrections scale the cost model's cardinality estimates
@@ -319,59 +336,42 @@ bool Session::OptimizeThroughCache(const QueryGraph& graph,
     cost = &*corrected;
   }
   Optimizer optimizer(db_, stats_.get(), cost, opt_options);
-  *out = optimizer.Optimize(graph, sink);
+  acq->optimized = optimizer.Optimize(graph, sink);
 
-  if (use_cache && out->ok()) {
-    // Truncated stages mean the search stopped early under this run's
-    // budget; a later run with a looser budget deserves the full search,
-    // so incomplete plans are never cached.
-    bool truncated = false;
-    for (const StageReport& s : out->stages) truncated |= s.truncated;
-    if (!truncated) {
-      PlanCacheEntry entry;
-      entry.plan = out->plan->Clone();
-      entry.cost = out->cost;
-      entry.plans_explored = out->plans_explored;
-      entry.stages = out->stages;
-      if (decisions != nullptr) entry.decisions = *decisions;
-      entry.pushed_sel = out->pushed_sel;
-      entry.pushed_join = out->pushed_join;
-      entry.pushed_proj = out->pushed_proj;
-      entry.pushed_variant_cost = out->pushed_variant_cost;
-      entry.unpushed_variant_cost = out->unpushed_variant_cost;
-      entry.stats_version = stats_version_;
-      plan_cache_->Insert(key, std::move(entry));
-    }
+  // Truncated stages mean the search stopped early under this run's budget;
+  // a later run with a looser budget deserves the full search, so
+  // incomplete plans are never cached.
+  if (use_cache && acq->optimized.ok() && !acq->optimized.truncated()) {
+    plan_cache_->Insert(acq->cache_key, {acq->optimized.Clone(),
+                                         acq->decisions, stats_version_});
   }
-  return false;
 }
 
-QueryRun Session::RunImpl(const QueryGraph& graph, const QueryOptions& options,
-                          Executor* exec, const std::string* graph_digest) {
-  QueryRun run;
-  run.graph = graph;
-  run.status = options.Validate();
-  if (!run.status.ok()) return run;
-
-  // The whole run holds the TxnManager read gate: a commit drains readers
-  // before mutating anything, so this run sees either the full pre- or full
-  // post-commit state — never a torn one. The guard is re-entrant, so
-  // Explain's delegation here nests fine.
-  TxnManager::ReadGuard read_gate(tm_);
+Status Session::AcquirePlan(const QueryGraph& graph,
+                            const QueryOptions& options,
+                            const std::string* graph_digest,
+                            bool inject_faults, obs::Tracer* tracer,
+                            PlanAcquisition* acq) {
+  Status status = options.Validate();
+  if (!status.ok()) return status;
   MaybeRefreshStats();
-
-  // The retry loop below snapshots and restores the buffer pool's resident
-  // set between attempts. A live streaming cursor defers its page charges
-  // to finalize time; interleaving that replay with a restore would corrupt
+  if (options.collect_trace && tracer == nullptr) {
+    // Silently dropping the flag (the old behaviour) made callers believe
+    // they had a trace when cursor.trace() never existed.
+    return Status::Error(
+        Status::Code::kInvalidArgument,
+        "collect_trace is not supported on the streaming Query path; use "
+        "Session::Run or Session::Explain to collect a trace");
+  }
+  // The retry loop snapshots and restores the buffer pool's resident set
+  // between attempts. A live streaming cursor defers its page charges to
+  // finalize time; interleaving that replay with a restore would corrupt
   // the pool's accounting, so the retryable paths refuse to start until the
   // session's outstanding cursors are drained (or destroyed).
-  // Shared-db (multi-tenant) sessions never consult the fault injector: the
-  // retry path's pool snapshot/restore cannot be made safe while concurrent
-  // sessions charge the same pool.
-  const bool faults_on = !shared_db_ && FaultInjector::Global().enabled();
-  if (faults_on && live_streams() > 0) {
+  if (inject_faults && FaultInjector::Global().enabled() &&
+      live_streams() > 0) {
     const uint64_t live = live_streams();
-    run.status = Status::Error(
+    status = Status::Error(
         Status::Code::kInvalidArgument,
         StrFormat("cannot Run/Explain with fault injection while %llu "
                   "streaming cursor(s) from this session are still live; "
@@ -379,60 +379,82 @@ QueryRun Session::RunImpl(const QueryGraph& graph, const QueryOptions& options,
                   static_cast<unsigned long long>(live)));
     // Structured contract (docs/ROBUSTNESS.md): the refusal carries the
     // live-cursor count, so pool managers branch on detail, not on text.
-    run.status.detail = live;
-    return run;
+    status.detail = live;
+    return status;
   }
 
-  // The run's armed lifecycle context: one copy of the caller's budget,
-  // deadline clock started here, referenced by pointer from every stage.
-  // The cancel token inside still shares the caller's flag.
-  QueryContext qctx = options.query;
-  qctx.ArmDeadline();
-
-  obs::Tracer tracer;
+  acq->qctx = options.query;
+  acq->qctx.ArmDeadline();
   ObsSink sink;
-  sink.decisions = &run.decisions;
-  if (options.collect_trace) sink.tracer = &tracer;
+  sink.decisions = &acq->decisions;
+  sink.tracer = tracer;
+  OptimizerOptions opt_options = options_;
+  opt_options.search_threads =
+      options.search_threads.value_or(opt_options.search_threads);
+  opt_options.seed = options.seed.value_or(opt_options.seed);
+  opt_options.query = &acq->qctx;
+  opt_options.inject_faults = inject_faults;
 
-  OptimizerOptions opt_options = EffectiveOptions(options);
-  opt_options.query = &qctx;
-  // Run/Explain are the retryable, non-streaming paths: they are the only
-  // ones that consult the fault injector (never in shared-db mode).
-  opt_options.inject_faults = !shared_db_;
-
-  const EffectiveFeedback fb = ResolveFeedback(options);
+  // Feedback: QueryOptions::feedback over its inherit defaults
+  // (RODIN_FEEDBACK; kDefaultDriftThreshold / kDefaultFeedbackAlpha). Same
+  // rule as the plan cache: an enabled injector perturbs and retries
+  // attempts, so neither side of the loop may run — corrections applied
+  // mid-test would make a retried run's plan differ from the clean run it
+  // must be bit-identical to. Full bypass, both apply and harvest.
+  if (options.feedback.enabled.value_or(FeedbackEnvDefault()) &&
+      !FaultInjector::Global().enabled()) {
+    acq->feedback = feedback_;
+  }
+  if (options.feedback.drift_threshold > 0) {
+    acq->drift_threshold = options.feedback.drift_threshold;
+  }
+  if (options.feedback.ewma_alpha > 0) acq->alpha = options.feedback.ewma_alpha;
+  acq->cache = plan_cache_;
+  acq->stats_version = stats_version_;
   FeedbackCorrections corrections;
-  if (fb.on) {
+  if (acq->feedback != nullptr) {
     uint64_t span = 0;
-    if (options.collect_trace) span = tracer.Begin("feedback.apply", "cost");
+    if (tracer != nullptr) span = tracer->Begin("feedback.apply", "cost");
     corrections = feedback_->Snapshot(stats_version_);
-    if (options.collect_trace) {
-      tracer.AddArg(span, "corrections",
-                    static_cast<double>(corrections.size()));
-      tracer.End(span);
+    if (tracer != nullptr) {
+      tracer->AddArg(span, "corrections",
+                     static_cast<double>(corrections.size()));
+      tracer->End(span);
     }
   }
-  std::string cache_key;
-  run.plan_cached = OptimizeThroughCache(
-      graph, opt_options, sink, options, graph_digest,
-      fb.on ? &corrections : nullptr, &run.optimized, &run.decisions,
-      &cache_key, &run.reoptimized_drift);
-  if (!run.optimized.ok()) {
-    run.status = run.optimized.status;
-    if (options.collect_trace) run.trace = tracer.Finish();
-    return run;
-  }
-  run.plan_text = PrintPT(*run.optimized.plan);
+  OptimizeThroughCache(graph, opt_options, sink, options, graph_digest,
+                       acq->feedback != nullptr ? &corrections : nullptr, acq);
+  return acq->optimized.status;
+}
 
-  if (!options.explain_only) {
+QueryRun Session::RunImpl(const QueryGraph& graph, const QueryOptions& options,
+                          Executor* exec, const std::string* graph_digest) {
+  QueryRun run;
+  run.graph = graph;
+
+  // The whole run holds the TxnManager read gate: a commit drains readers
+  // before mutating anything, so this run sees either the full pre- or full
+  // post-commit state — never a torn one. The guard is re-entrant, so
+  // Explain's delegation here nests fine.
+  TxnManager::ReadGuard read_gate(tm_);
+  obs::Tracer tracer;
+  obs::Tracer* trace = options.collect_trace ? &tracer : nullptr;
+  // Run/Explain are the retryable, non-streaming paths: they are the only
+  // ones that consult the fault injector. Shared-db (multi-tenant) sessions
+  // never do: the retry path's pool snapshot/restore cannot be made safe
+  // while concurrent sessions charge the same pool.
+  PlanAcquisition acq;
+  run.status =
+      AcquirePlan(graph, options, graph_digest, !shared_db_, trace, &acq);
+
+  if (run.status.ok() && !options.explain_only) {
     Executor local(db_, cost_params_);
     Executor& e = exec != nullptr ? *exec : local;
     // Harvesting needs per-operator figures; the collection itself never
     // touches ExecCounters, so counters stay bit-identical feedback-off.
-    if (fb.on) e.CollectOpStats(true);
-    if (options.collect_trace) e.set_tracer(&tracer);
-    ExecOptions exec_options = options.MakeExecOptions(&qctx);
-    exec_options.inject_faults = !shared_db_;
+    if (acq.feedback != nullptr) e.CollectOpStats(true);
+    e.set_tracer(trace);
+    ExecOptions exec_options = options.MakeExecOptions(&acq.qctx);
 
     // Retry-with-backoff for transient (kFault) aborts. Only the execution
     // phase re-runs — the optimizer already committed its plan and its
@@ -447,7 +469,7 @@ QueryRun Session::RunImpl(const QueryGraph& graph, const QueryOptions& options,
     // number of retries would converge. A clean attempt is unperturbed by
     // the draws, so the breaker never changes a surviving run's results.
     std::vector<PageId> resident;
-    if (faults_on && !options.cold) {
+    if (!shared_db_ && FaultInjector::Global().enabled() && !options.cold) {
       resident = db_->buffer_pool().SnapshotResident();
     }
     constexpr int kMaxAttempts = 16;
@@ -461,13 +483,9 @@ QueryRun Session::RunImpl(const QueryGraph& graph, const QueryOptions& options,
             std::chrono::microseconds(1u << std::min(attempt, 10)));
       }
       exec_options.inject_faults = !shared_db_ && attempt < kFaultedAttemptLimit;
-      if (shared_db_) {
-        e.ResetMeasurementShared();
-      } else {
-        e.ResetMeasurement(options.cold);
-      }
+      ResetMeasurement(&e, options.cold);
       exec_status =
-          e.ExecuteInto(*run.optimized.plan, exec_options, &run.answer);
+          e.ExecuteInto(*acq.optimized.plan, exec_options, &run.answer);
       if (!exec_status.retryable()) break;
     }
     if (!exec_status.ok()) run.status = exec_status;
@@ -475,46 +493,19 @@ QueryRun Session::RunImpl(const QueryGraph& graph, const QueryOptions& options,
     run.counters = e.counters();
     e.set_tracer(nullptr);
     db_->buffer_pool().PublishMetrics();
-
-    // Feedback harvest: only complete, clean runs teach the registry.
-    // Anything retried under the injector, truncated by an anytime budget,
-    // or failed outright contributes zero observations — a perturbed run's
-    // measurements describe the perturbation, not the data.
-    if (fb.on && run.status.ok() && !FaultInjector::Global().enabled()) {
-      bool truncated = false;
-      for (const StageReport& s : run.optimized.stages) {
-        truncated |= s.truncated;
-      }
-      if (!truncated) {
-        uint64_t span = 0;
-        if (options.collect_trace) {
-          span = tracer.Begin("feedback.harvest", "cost");
-        }
-        const size_t harvested = feedback_->Harvest(
-            FlattenPlanStats(*run.optimized.plan, e.op_stats()),
-            stats_version_, fb.alpha);
-        if (options.collect_trace) {
-          tracer.AddArg(span, "observations", static_cast<double>(harvested));
-          tracer.End(span);
-        }
-        // Drift demotion: a *cached* plan whose measured cost strayed
-        // >= threshold from its estimate is evicted so the next acquisition
-        // re-optimizes under current corrections. Freshly optimized plans
-        // are never demoted — they already used the latest corrections, and
-        // demoting them would re-run the pipeline forever.
-        if (run.plan_cached && !cache_key.empty() && run.measured_cost > 0 &&
-            run.optimized.cost > 0) {
-          const double ratio =
-              std::max(run.measured_cost / run.optimized.cost,
-                       run.optimized.cost / run.measured_cost);
-          if (ratio >= fb.drift_threshold && plan_cache_->Erase(cache_key)) {
-            feedback_->NoteDemotion(cache_key, ratio);
-          }
-        }
-      }
-    }
+    acq.Learn(run.status, /*drained=*/true, e, trace);
   }
-  if (options.collect_trace) run.trace = tracer.Finish();
+
+  run.optimized = std::move(acq.optimized);
+  run.decisions = std::move(acq.decisions);
+  run.plan_cached = acq.plan_cached;
+  run.reoptimized_drift = acq.reoptimized_drift;
+  if (run.optimized.plan != nullptr) {
+    run.plan_text = PrintPT(*run.optimized.plan);
+  }
+  // A run refused before planning (bad options, live cursors) has no trace.
+  const bool planned = run.optimized.plan != nullptr || !run.optimized.ok();
+  if (trace != nullptr && planned) run.trace = tracer.Finish();
   return run;
 }
 
@@ -523,29 +514,20 @@ QueryRun Session::Run(const QueryGraph& graph, const QueryOptions& options) {
 }
 
 QueryRun Session::Run(const std::string& text, const QueryOptions& options) {
-  const ParseResult parsed = ParseQuery(text, db_->schema());
-  if (!parsed.ok()) {
-    QueryRun run;
-    run.status = parsed.status;
-    return run;
-  }
-  return RunImpl(parsed.graph, options, nullptr, nullptr);
+  return Prepare(text).Run(options);
 }
 
 namespace {
 
-/// Everything a live cursor needs to keep alive: the executor doing the
-/// work plus the optimizer artifacts the cursor's accessors reference.
+/// Everything a live cursor keeps alive: the executor doing the work and
+/// the acquired plan, whose armed context the engine's per-batch polls
+/// reference however long the caller holds the cursor (a copy of the
+/// caller's cancel token means RequestCancel() from any thread stops the
+/// next Next()), and whose learn step the finalize hook runs.
 struct QueryState {
   QueryState(Database* db, CostParams params) : exec(db, params) {}
   Executor exec;
-  OptimizeResult optimized;
-  DecisionLog decisions;
-  /// The cursor's armed lifecycle context. Lives exactly as long as the
-  /// cursor (keepalive), so the engine's per-batch polls stay valid however
-  /// long the caller holds the cursor — and a copy of the caller's cancel
-  /// token means RequestCancel() from any thread stops the next Next().
-  QueryContext qctx;
+  PlanAcquisition acq;
 };
 
 }  // namespace
@@ -553,101 +535,39 @@ struct QueryState {
 ResultCursor Session::QueryImpl(const QueryGraph& graph,
                                 const QueryOptions& options,
                                 const std::string* graph_digest) {
-  Status vstatus = options.Validate();
-  if (!vstatus.ok()) return ResultCursor(vstatus);
   // Optimization and stream setup run under the read gate; the cursor is
   // registered with the TxnManager *before* the gate releases, so a commit
   // can never slip between setup and registration — it refuses (kConflict)
   // while the cursor lives, which is what keeps the cursor's raw extent
   // coordinates valid across user-paced pulls (docs/ROBUSTNESS.md).
   TxnManager::ReadGuard read_gate(tm_);
-  MaybeRefreshStats();
-  if (options.collect_trace) {
-    // Silently dropping the flag (the old behaviour) made callers believe
-    // they had a trace when cursor.trace() never existed.
-    return ResultCursor(Status::Error(
-        Status::Code::kInvalidArgument,
-        "collect_trace is not supported on the streaming Query path; use "
-        "Session::Run or Session::Explain to collect a trace"));
-  }
-
   auto state = std::make_shared<QueryState>(db_, cost_params_);
-  state->qctx = options.query;
-  state->qctx.ArmDeadline();
+  // Fault injection stays off: a half-consumed stream cannot be
+  // transparently retried.
+  const Status status = AcquirePlan(graph, options, graph_digest,
+                                    /*inject_faults=*/false,
+                                    /*tracer=*/nullptr, &state->acq);
+  if (!status.ok()) return ResultCursor(status);
 
-  ObsSink sink;
-  sink.decisions = &state->decisions;
-  OptimizerOptions opt_options = EffectiveOptions(options);
-  opt_options.query = &state->qctx;
-  OptimizeResult& optimized = state->optimized;
-  const EffectiveFeedback fb = ResolveFeedback(options);
-  FeedbackCorrections corrections;
-  if (fb.on) corrections = feedback_->Snapshot(stats_version_);
-  std::string cache_key;
-  const bool cached = OptimizeThroughCache(
-      graph, opt_options, sink, options, graph_digest,
-      fb.on ? &corrections : nullptr, &optimized, &state->decisions,
-      &cache_key, nullptr);
-  if (!optimized.ok()) {
-    return ResultCursor(optimized.status);
-  }
-
-  if (fb.on) state->exec.CollectOpStats(true);
-  if (shared_db_) {
-    state->exec.ResetMeasurementShared();
-  } else {
-    state->exec.ResetMeasurement(options.cold);
-  }
-  // Streaming runs reference the state-owned context; fault injection stays
-  // off (a half-consumed stream cannot be transparently retried).
+  const PTNode& plan = *state->acq.optimized.plan;
+  if (state->acq.feedback != nullptr) state->exec.CollectOpStats(true);
+  ResetMeasurement(&state->exec, options.cold);
   ResultCursor cursor = state->exec.ExecuteStream(
-      *state->optimized.plan, options.MakeExecOptions(&state->qctx));
-  cursor.set_plan_text(PrintPT(*state->optimized.plan));
-  Database* db = db_;
+      plan, options.MakeExecOptions(&state->acq.qctx));
+  cursor.set_plan_text(PrintPT(plan));
   // The finalize hook fires exactly once per cursor (drained, failed or
   // destroyed), so the live-stream count is balanced even for abandoned
-  // cursors. The shared counter keeps the hook safe past session teardown.
+  // cursors. The database and its TxnManager outlive the cursor; the shared
+  // counter and the state (whose learn step holds the registry and cache by
+  // shared_ptr) keep the hook safe past session teardown.
   live_streams_->fetch_add(1);
   tm_->BeginCursor();
-  std::shared_ptr<std::atomic<uint64_t>> live = live_streams_;
-  TxnManager* tm = tm_;  // outlives the cursor (it lives with the database)
-  // Feedback harvest context, resolved now: shared_ptrs keep the registry
-  // and cache alive past session teardown (a cursor may outlive its
-  // session), and the keepalive state carries the plan + op stats.
-  std::shared_ptr<FeedbackRegistry> freg = fb.on ? feedback_ : nullptr;
-  std::shared_ptr<PlanCache> cache = plan_cache_;
-  bool truncated = false;
-  for (const StageReport& s : optimized.stages) truncated |= s.truncated;
-  const uint64_t harvest_version = stats_version_;
-  const double alpha = fb.alpha;
-  const double drift_threshold = fb.drift_threshold;
-  const double est_cost = optimized.cost;
-  std::shared_ptr<QueryState> keep = state;
-  cursor.set_on_finish([db, live, tm, freg, cache, truncated, harvest_version,
-                        alpha, drift_threshold, est_cost, cached, cache_key,
-                        keep](const Status& st, bool drained) {
+  cursor.set_on_finish([db = db_, tm = tm_, live = live_streams_, state](
+                           const Status& st, bool drained) {
     db->buffer_pool().PublishMetrics();
     live->fetch_sub(1);
     tm->EndCursor();
-    // Only a stream pulled to genuine exhaustion has complete measurements;
-    // cancelled, aborted or abandoned cursors teach the registry nothing.
-    if (freg == nullptr || !drained || !st.ok() || truncated ||
-        FaultInjector::Global().enabled()) {
-      return;
-    }
-    freg->Harvest(FlattenPlanStats(*keep->optimized.plan,
-                                   keep->exec.op_stats()),
-                  harvest_version, alpha);
-    if (cached && !cache_key.empty() && est_cost > 0) {
-      const double measured = keep->exec.MeasuredCost();
-      if (measured > 0) {
-        const double ratio =
-            std::max(measured / est_cost, est_cost / measured);
-        if (ratio >= drift_threshold && cache->Erase(cache_key)) {
-          freg->NoteDemotion(cache_key, ratio);
-        }
-      }
-    }
+    state->acq.Learn(st, drained, state->exec, /*tracer=*/nullptr);
   });
   cursor.set_keepalive(std::move(state));
   return cursor;
@@ -660,9 +580,7 @@ ResultCursor Session::Query(const QueryGraph& graph,
 
 ResultCursor Session::Query(const std::string& text,
                             const QueryOptions& options) {
-  const ParseResult parsed = ParseQuery(text, db_->schema());
-  if (!parsed.ok()) return ResultCursor(parsed.status);
-  return QueryImpl(parsed.graph, options, nullptr);
+  return Prepare(text).Query(options);
 }
 
 PreparedQuery Session::Prepare(const std::string& text) {
@@ -711,13 +629,7 @@ ExplainResult Session::Explain(const QueryGraph& graph,
 
 ExplainResult Session::Explain(const std::string& text,
                                const QueryOptions& options) {
-  const ParseResult parsed = ParseQuery(text, db_->schema());
-  if (!parsed.ok()) {
-    ExplainResult ex;
-    ex.status = parsed.status;
-    return ex;
-  }
-  return ExplainImpl(parsed.graph, options, nullptr);
+  return Prepare(text).Explain(options);
 }
 
 }  // namespace rodin

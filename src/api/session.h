@@ -29,6 +29,7 @@
 namespace rodin {
 
 class Session;
+struct PlanAcquisition;  // one run's acquired plan; defined in session.cc
 
 // The per-call knob surface (QueryOptions) lives in api/query_options.h —
 // one documented facade with a single inherit/override rule, shared by the
@@ -207,10 +208,18 @@ class PreparedQuery {
 /// — the optimizer pipeline is skipped entirely and the cached plan goes
 /// straight to execution (still under the caller's QueryContext). Pass a
 /// shared PlanCache to share across sessions; by default each session owns
-/// a private one. RefreshStats() invalidates this session's entries (stats
-/// version bump); truncated optimizations and any run while the fault
-/// injector is enabled are never cached. QueryOptions::bypass_plan_cache
-/// opts a single run out; RODIN_PLAN_CACHE=0 disables caching process-wide.
+/// a private one. A stats-version bump (every commit, or
+/// EngineHandle::RefreshStats) invalidates the entries written before it;
+/// truncated optimizations and any run while the fault injector is enabled
+/// are never cached. QueryOptions::bypass_plan_cache opts a single run out;
+/// RODIN_PLAN_CACHE=0 disables caching process-wide.
+///
+/// Every entry point runs one pipeline — acquire -> execute -> learn: the
+/// acquire step (AcquirePlan) validates, refreshes statistics, arms the
+/// QueryContext and gets a plan through the cache; the execute step is the
+/// entry's own (Run/Explain execute into a table with fault retries, Query
+/// streams through a cursor); the learn step (PlanAcquisition::Learn)
+/// harvests feedback and demotes a drifted cached plan.
 class Session {
  public:
   explicit Session(Database* db, OptimizerOptions options = {},
@@ -319,25 +328,8 @@ class Session {
   /// version, view policy).
   TxnManager& txn() { return *tm_; }
 
-  /// DEPRECATED: forwards to EngineHandle-style engine-wide refresh — bumps
-  /// the TxnManager stats version (invalidating plan-cache entries in every
-  /// session sharing the cache) and re-derives this session's statistics
-  /// immediately. Commits refresh automatically; prefer
-  /// EngineHandle::RefreshStats for an explicit engine-wide bump.
-  void RefreshStats();
-
  private:
   friend class PreparedQuery;
-
-  /// One run's resolved feedback configuration: QueryOptions::feedback with
-  /// the inherit defaults (RODIN_FEEDBACK env; kDefaultDriftThreshold /
-  /// kDefaultFeedbackAlpha) applied.
-  struct EffectiveFeedback {
-    bool on = false;
-    double drift_threshold = kDefaultDriftThreshold;
-    double alpha = kDefaultFeedbackAlpha;
-  };
-  static EffectiveFeedback ResolveFeedback(const QueryOptions& options);
 
   QueryRun RunImpl(const QueryGraph& graph, const QueryOptions& options,
                    Executor* exec, const std::string* graph_digest);
@@ -345,35 +337,47 @@ class Session {
                          const std::string* graph_digest);
   ExplainResult ExplainImpl(const QueryGraph& graph, const QueryOptions& options,
                             const std::string* graph_digest);
-  OptimizerOptions EffectiveOptions(const QueryOptions& options) const;
 
   /// Re-derives stats/cost/physical identity if the engine-wide stats
   /// version moved since this session last derived (i.e. a commit or an
-  /// explicit RefreshStats happened). Called on every query entry under the
-  /// TxnManager read gate, so derivation never races a commit.
+  /// EngineHandle::RefreshStats happened). Called on every query entry
+  /// under the TxnManager read gate, so derivation never races a commit.
   void MaybeRefreshStats();
 
-  /// Optimizes `graph` through the plan cache: a hit fills `*out` from the
-  /// cached entry (plan cloned, stage reports and decision log replayed)
-  /// and returns true without running the optimizer; a miss runs the full
-  /// pipeline and, when the result is complete (ok, no stage truncated, no
-  /// fault injector), inserts it. `opt_options` must already carry the armed
-  /// query context.
+  /// The acquire step, shared by every entry point; the caller holds the
+  /// read gate. Validates `options`, refreshes statistics, refuses what the
+  /// caller's execute step cannot do (collect_trace without a `tracer`;
+  /// fault injection while this session's cursors are live, when
+  /// `inject_faults`), arms `acq->qctx`, snapshots feedback corrections and
+  /// optimizes through the plan cache. Returns the refusal or the
+  /// optimizer's status. `acq` lives where the run's armed context must
+  /// live: on the caller's stack, or in a cursor's keepalive state.
+  Status AcquirePlan(const QueryGraph& graph, const QueryOptions& options,
+                     const std::string* graph_digest, bool inject_faults,
+                     obs::Tracer* tracer, PlanAcquisition* acq);
+
+  /// Optimizes `graph` through the plan cache into `acq`: a hit fills
+  /// `acq->optimized` from the cached entry (plan cloned, stage reports and
+  /// decision log replayed) and sets `acq->plan_cached` without running the
+  /// optimizer; a miss consumes the key's drift-demotion note into
+  /// `acq->reoptimized_drift`, runs the full pipeline and, when the result
+  /// is complete (ok, no stage truncated, no fault injector), inserts it.
+  /// `opt_options` must already carry the armed query context.
   ///
   /// `corrections` (may be null / empty) is applied to the cost model on a
   /// miss — it is deliberately NOT part of the fingerprint, so correction
   /// updates alone never fork cache entries; drift demotion (PlanCache::
-  /// Erase) is how a stale cached plan gets re-costed. `key_out` receives
-  /// the fingerprint when non-null; `reoptimized_drift` receives the drift
-  /// ratio when this miss consumed a demotion note for the key (i.e. the
-  /// re-optimization the demotion asked for), 0 otherwise.
-  bool OptimizeThroughCache(const QueryGraph& graph,
+  /// Erase) is how a stale cached plan gets re-costed.
+  void OptimizeThroughCache(const QueryGraph& graph,
                             const OptimizerOptions& opt_options,
                             const ObsSink& sink, const QueryOptions& options,
                             const std::string* graph_digest,
                             const FeedbackCorrections* corrections,
-                            OptimizeResult* out, DecisionLog* decisions,
-                            std::string* key_out, double* reoptimized_drift);
+                            PlanAcquisition* acq);
+
+  /// Starts `exec`'s measurement: shared-db sessions leave the shared pool
+  /// alone, single-tenant ones reset it (emptied when `cold`).
+  void ResetMeasurement(Executor* exec, bool cold) const;
 
   Database* db_;
   TxnManager* tm_;  // the database's write coordinator (process singleton)
@@ -385,7 +389,7 @@ class Session {
 
   std::shared_ptr<PlanCache> plan_cache_;
   std::shared_ptr<FeedbackRegistry> feedback_;
-  /// Fingerprint component cached once per RefreshStats (the database is
+  /// Fingerprint component cached once per stats refresh (the database is
   /// finalized, so the physical identity is stable between refreshes).
   std::string physical_identity_;
   /// The engine-wide (TxnManager) stats version this session's statistics

@@ -1,6 +1,7 @@
 #ifndef RODIN_OPTIMIZER_OPTIMIZER_H_
 #define RODIN_OPTIMIZER_OPTIMIZER_H_
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -57,9 +58,9 @@ struct OptimizerOptions {
   bool inject_faults = false;
 };
 
-/// Result of optimizing one query graph.
-struct OptimizeResult {
-  PTPtr plan;
+/// Everything one optimization reports besides the plan. Plain data, so a
+/// whole OptimizeResult copies as one assignment plus a plan clone.
+struct OptimizeReport {
   double cost = 0;
   /// Typed outcome; on failure the plan is null and status.code says why
   /// (kOptimize, or kDeadlineExceeded / kCancelled when the budget tripped
@@ -77,6 +78,25 @@ struct OptimizeResult {
   double unpushed_variant_cost = -1;
 
   bool ok() const { return status.ok(); }
+  /// Some stage stopped early under an anytime budget: the plan is the best
+  /// found so far, not the full search's choice.
+  bool truncated() const {
+    return std::any_of(stages.begin(), stages.end(),
+                       [](const StageReport& s) { return s.truncated; });
+  }
+};
+
+/// Result of optimizing one query graph.
+struct OptimizeResult : OptimizeReport {
+  PTPtr plan;
+
+  /// Deep copy (the plan is cloned; PTPtr is move-only).
+  OptimizeResult Clone() const {
+    OptimizeResult out;
+    static_cast<OptimizeReport&>(out) = *this;
+    if (plan != nullptr) out.plan = plan->Clone();
+    return out;
+  }
 };
 
 /// The optimizer of §4.1:

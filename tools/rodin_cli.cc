@@ -75,7 +75,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -101,23 +100,14 @@ struct CliOptions {
   std::string optimizer = "cost";
   unsigned parallel = 1;
   unsigned threads = 1;
-  // Unset = executor defaults (sequential, 1024-row batches). The values
-  // pass through to QueryOptions verbatim, so an explicit 0 reaches the
-  // session and comes back as invalid_argument (exit 12).
-  std::optional<size_t> exec_threads;
-  std::optional<size_t> batch_rows;
-  // Unset = RODIN_FEEDBACK environment default; 0 tuning values = inherit.
-  std::optional<bool> feedback;
-  double feedback_drift = 0;
-  double feedback_alpha = 0;
-  uint64_t deadline_ms = 0;   // 0 = no deadline
-  uint64_t memory_budget_pages = 0;  // 0 = unlimited
-  // Unset = RODIN_SPILL environment default (on); 0 budget = inherit.
-  std::optional<bool> spill;
-  uint64_t spill_budget_pages = 0;
+  // The per-query flags parse straight into the session's knob surface,
+  // with its inherit rules: an omitted flag leaves the field at its
+  // "inherit" value, and an explicit --exec-threads=0 / --batch-rows=0
+  // reaches the session and comes back as invalid_argument (exit 12).
+  // --plan-only is explain_only; collect_trace follows --trace-out, and
+  // every run is cold.
+  QueryOptions per_query;
   bool explain = false;
-  bool plan_only = false;
-  bool no_plan_cache = false;
   bool symbolic = false;
   bool metrics = false;
   std::string trace_out;
@@ -441,6 +431,7 @@ void MaybeDumpMetrics(const CliOptions& options) {
 
 int main(int argc, char** argv) {
   CliOptions options;
+  options.per_query.cold = true;
   for (int i = 1; i < argc; ++i) {
     std::string value;
     if (ParseFlag(argv[i], "db", &value)) {
@@ -456,18 +447,18 @@ int main(int argc, char** argv) {
     } else if (ParseFlag(argv[i], "threads", &value)) {
       options.threads = static_cast<unsigned>(ParseCount(value, "threads"));
     } else if (ParseFlag(argv[i], "exec-threads", &value)) {
-      options.exec_threads =
+      options.per_query.exec_threads =
           static_cast<size_t>(ParseCount(value, "exec-threads"));
     } else if (ParseFlag(argv[i], "batch-rows", &value)) {
-      options.batch_rows =
+      options.per_query.batch_rows =
           static_cast<size_t>(ParseCount(value, "batch-rows"));
     } else if (ParseFlag(argv[i], "deadline-ms", &value)) {
-      options.deadline_ms = ParseCount(value, "deadline-ms");
+      options.per_query.query.deadline_ms = ParseCount(value, "deadline-ms");
     } else if (ParseFlag(argv[i], "memory-budget-pages", &value)) {
-      options.memory_budget_pages =
+      options.per_query.query.memory_budget_pages =
           ParseCount(value, "memory-budget-pages");
     } else if (ParseFlag(argv[i], "spill-budget-pages", &value)) {
-      options.spill_budget_pages =
+      options.per_query.query.spill_budget_pages =
           ParseCount(value, "spill-budget-pages");
     } else if (ParseFlag(argv[i], "query", &value)) {
       options.query_file = value;
@@ -476,23 +467,23 @@ int main(int argc, char** argv) {
     } else if (ParseFlag(argv[i], "trace-out", &value)) {
       options.trace_out = value;
     } else if (std::strcmp(argv[i], "--spill") == 0) {
-      options.spill = true;
+      options.per_query.query.spill = true;
     } else if (std::strcmp(argv[i], "--no-spill") == 0) {
-      options.spill = false;
+      options.per_query.query.spill = false;
     } else if (std::strcmp(argv[i], "--feedback") == 0) {
-      options.feedback = true;
+      options.per_query.feedback.enabled = true;
     } else if (std::strcmp(argv[i], "--no-feedback") == 0) {
-      options.feedback = false;
+      options.per_query.feedback.enabled = false;
     } else if (ParseFlag(argv[i], "feedback-drift", &value)) {
-      options.feedback_drift = std::stod(value);
+      options.per_query.feedback.drift_threshold = std::stod(value);
     } else if (ParseFlag(argv[i], "feedback-alpha", &value)) {
-      options.feedback_alpha = std::stod(value);
+      options.per_query.feedback.ewma_alpha = std::stod(value);
     } else if (std::strcmp(argv[i], "--explain") == 0) {
       options.explain = true;
     } else if (std::strcmp(argv[i], "--plan-only") == 0) {
-      options.plan_only = true;
+      options.per_query.explain_only = true;
     } else if (std::strcmp(argv[i], "--no-plan-cache") == 0) {
-      options.no_plan_cache = true;
+      options.per_query.bypass_plan_cache = true;
     } else if (std::strcmp(argv[i], "--symbolic") == 0) {
       options.symbolic = true;
     } else if (std::strcmp(argv[i], "--metrics") == 0) {
@@ -569,20 +560,8 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  QueryOptions ro;
-  ro.cold = true;
-  ro.explain_only = options.plan_only;
+  QueryOptions& ro = options.per_query;
   ro.collect_trace = !options.trace_out.empty();
-  ro.exec_threads = options.exec_threads;
-  ro.batch_rows = options.batch_rows;
-  ro.feedback.enabled = options.feedback;
-  ro.feedback.drift_threshold = options.feedback_drift;
-  ro.feedback.ewma_alpha = options.feedback_alpha;
-  ro.bypass_plan_cache = options.no_plan_cache;
-  ro.query.deadline_ms = options.deadline_ms;
-  ro.query.memory_budget_pages = options.memory_budget_pages;
-  ro.query.spill = options.spill;
-  ro.query.spill_budget_pages = options.spill_budget_pages;
 
   if (options.explain) {
     const ExplainResult ex = session.Explain(text, ro);
@@ -631,7 +610,7 @@ int main(int argc, char** argv) {
                 table.ToString().c_str());
   }
 
-  if (!options.plan_only) {
+  if (!ro.explain_only) {
     std::printf("answer (%zu rows, measured cost %.1f):\n%s",
                 run.answer.rows.size(), run.measured_cost,
                 run.answer.ToString(20).c_str());
