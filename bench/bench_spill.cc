@@ -4,9 +4,9 @@
 // disk) and must stay *observably identical* to an unlimited run — same
 // rows, same measured cost — because the ledger never touches the buffer
 // pool's accounting. The sweep also replays the pre-spill failure mode: at
-// the largest scale a 1-page memory_budget_pages with spilling disabled is
-// a typed kResourceExhausted, and the identical budget with spilling on
-// completes with the unlimited answer.
+// the largest scale a 1-page memory_budget_pages — which before spilling
+// existed was a typed kResourceExhausted — completes with the unlimited
+// answer.
 //
 // Reported figures (all deterministic — seeded data, seeded optimizer,
 // page/byte counts rather than timings — so the CI gate can be strict):
@@ -20,8 +20,9 @@
 //                         — spill volume at the largest scale, from the
 //                           rodin.spill.* counters;
 //   SeedFailureRecovered  — 1 when the old hard-failure configuration
-//                           (1-page budget, spill off => kResourceExhausted)
-//                           completes under the same budget with spill on.
+//                           (1-page memory_budget_pages, once
+//                           kResourceExhausted) completes with the
+//                           unlimited answer.
 //
 // Output is Google-Benchmark-shaped JSON (values in real_time, the field
 // scripts/check_bench.py compares) written to --out, like rodin_load.
@@ -134,7 +135,6 @@ int main(int argc, char** argv) {
 
     QueryOptions forced;
     forced.cold = true;
-    forced.query.spill = true;
     forced.query.spill_budget_pages = 1;
     const uint64_t spills0 = SpillCounter("rodin.spill.spills");
     const uint64_t parts0 = SpillCounter("rodin.spill.partitions");
@@ -167,25 +167,17 @@ int main(int argc, char** argv) {
                  identical ? "bit-identical" : "DIVERGED", spills_at_max,
                  partitions_at_max, mb_at_max, passes_at_max);
 
-    // The pre-spill failure mode, replayed at the largest scale: the same
+    // The pre-spill failure mode, replayed at the largest scale: the
     // 1-page budget that used to kResourceExhausted now completes.
     if (scale == kScales[sizeof(kScales) / sizeof(kScales[0]) - 1]) {
-      QueryOptions off;
-      off.cold = true;
-      off.query.memory_budget_pages = 1;
-      off.query.spill = false;
-      const QueryRun refused = session.Run(kFig3Text, off);
-      QueryOptions on = off;
-      on.query.spill = true;
-      const QueryRun recovered = session.Run(kFig3Text, on);
-      if (!refused.ok() &&
-          refused.status.code == Status::Code::kResourceExhausted &&
-          recovered.ok() && Keys(recovered.answer) == Keys(base.answer)) {
+      QueryOptions bounded;
+      bounded.cold = true;
+      bounded.query.memory_budget_pages = 1;
+      const QueryRun recovered = session.Run(kFig3Text, bounded);
+      if (recovered.ok() && Keys(recovered.answer) == Keys(base.answer)) {
         seed_failure_recovered = 1;
       }
-      std::fprintf(stderr,
-                   "seed failure replay: spill-off %s, spill-on %s\n",
-                   refused.status.ToString().c_str(),
+      std::fprintf(stderr, "seed failure replay: %s\n",
                    recovered.status.ToString().c_str());
     }
   }

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <utility>
 
 #include "common/status.h"
@@ -55,24 +54,20 @@ struct QueryContext {
   /// evicted pages are simply re-charged as misses — accounting stays
   /// exact). The same figure budgets the query's *cumulative live* temp
   /// pages: an operator working set that would exceed the remainder spills
-  /// to disk (when `spill` resolves on) or returns a typed
-  /// kResourceExhausted (when it resolves off); only a single row too large
-  /// for the whole budget is refused unconditionally — no partitioning can
-  /// split one row. 0 = unlimited.
+  /// to disk. Spilling never changes rows, row order, ExecCounters or
+  /// MeasuredCost — only where row bytes live. The one refusal is a single
+  /// row too large for the whole budget (typed kResourceExhausted): no
+  /// partitioning can split one row. 0 = unlimited.
   size_t memory_budget_pages = 0;
 
-  /// Tri-state spill override: nullopt inherits the RODIN_SPILL environment
-  /// default (on unless RODIN_SPILL=0/off). Engaged true/false forces the
-  /// over-budget behaviour above for this run. Spilling never changes rows,
-  /// row order, ExecCounters or MeasuredCost — only where row bytes live.
-  std::optional<bool> spill;
-
-  /// Temp-page ledger budget override for the spill decision only. Unlike
-  /// memory_budget_pages it does NOT clamp the buffer pool's LRU capacity,
-  /// so accounting stays bit-identical to an unlimited run while spilling
-  /// is forced — the knob CI uses to exercise spill paths everywhere.
-  /// Precedence: this value when nonzero, else memory_budget_pages, else
-  /// the RODIN_SPILL_BUDGET environment default. 0 = inherit.
+  /// Test/bench hook: a temp-page ledger budget for the spill decision
+  /// only. Unlike memory_budget_pages it does NOT clamp the buffer pool's
+  /// LRU capacity, so accounting stays bit-identical to an unlimited run
+  /// while spilling is forced (or, set huge, prevented) — the spill
+  /// differential tests and bench_spill use it. Not carried on the wire or
+  /// the CLI. Precedence: this value when nonzero, else
+  /// memory_budget_pages, else the RODIN_SPILL_BUDGET environment default.
+  /// 0 = inherit.
   size_t spill_budget_pages = 0;
 
   /// Starts the deadline clock. Called once per run attempt by Session;

@@ -84,10 +84,9 @@ struct ExecCtx {
   bool inject_faults = false;
 
   /// Spill policy (see BatchEngine::Config): over-budget temp working sets
-  /// move their row bytes to disk instead of aborting. The ledger tracks
-  /// the query's *cumulative live* temp pages; spilled temps are not
-  /// charged against it (their bytes are on disk, tracked in `spill`).
-  bool spill_enabled = true;
+  /// move their row bytes to disk. The ledger tracks the query's
+  /// *cumulative live* temp pages; spilled temps are not charged against
+  /// it (their bytes are on disk, tracked in `spill`).
   size_t ledger_budget = 0;
   size_t live_temp_pages = 0;
   SpillStats spill;
@@ -125,11 +124,11 @@ struct ExecCtx {
   /// AllocateTempFile with the cumulative temp-page ledger and alloc-fault
   /// checks. The page-id allocation is identical whether or not the temp
   /// spills, so ChargeTempScan sequences — and with them MeasuredCost — are
-  /// bit-identical spill-on vs all-in-memory. Over the remaining budget:
-  /// spill (sets *spilled; caller moves the row bytes to disk and skips the
-  /// ledger charge) or throw a typed kResourceExhausted with the tripping
-  /// operator packed into Status::detail. Only a single row too large for
-  /// the whole budget is refused unconditionally.
+  /// bit-identical spilled vs all-in-memory. Over the remaining budget the
+  /// temp spills (sets *spilled; caller moves the row bytes to disk and
+  /// skips the ledger charge). Only a single row too large for the whole
+  /// budget is refused, with a typed kResourceExhausted that packs the
+  /// tripping operator into Status::detail.
   TempFile AllocTemp(size_t rows, size_t ncols, SpillOpTag tag,
                      bool* spilled = nullptr) {
     if (spilled != nullptr) *spilled = false;
@@ -142,15 +141,9 @@ struct ExecCtx {
     const uint64_t row_pages = TempRowPages(ncols);
     if (row_pages > ledger_budget) {
       throw internal::ExecAbort(MakeResourceExhausted(
-          tag, row_pages, ledger_budget, live_temp_pages,
-          /*row_refusal=*/true));
+          tag, row_pages, ledger_budget, live_temp_pages));
     }
     if (live_temp_pages + temp.pages > ledger_budget) {
-      if (!spill_enabled) {
-        throw internal::ExecAbort(MakeResourceExhausted(
-            tag, temp.pages, ledger_budget, live_temp_pages,
-            /*row_refusal=*/false));
-      }
       ++spill.spills;
       if (spilled != nullptr) *spilled = true;
       return temp;
@@ -241,11 +234,9 @@ std::shared_ptr<SpillFile> SpillRows(ExecCtx* ctx,
 
 /// Pre-dedup accumulation buffer for Proj/Union. In memory it reproduces
 /// Table::Dedup() exactly; when the buffered working set outgrows the
-/// remaining ledger budget (and spilling is on) it drains sorted runs to
-/// disk and K-way merge-uniques them at Finish — the merge emits the same
-/// sorted duplicate-free sequence sort+unique would. With spilling off the
-/// buffer never spills (dedup was never budget-checked, so no new refusal
-/// sites appear).
+/// remaining ledger budget it drains sorted runs to disk and K-way
+/// merge-uniques them at Finish — the merge emits the same sorted
+/// duplicate-free sequence sort+unique would.
 class DedupBuffer {
  public:
   DedupBuffer(ExecCtx* ctx, RowSchema schema) : ctx_(ctx) {
@@ -325,7 +316,7 @@ class DedupBuffer {
   }
 
   bool OverBudget() const {
-    if (ctx_->ledger_budget == 0 || !ctx_->spill_enabled) return false;
+    if (ctx_->ledger_budget == 0) return false;
     const uint64_t ncols =
         std::max<uint64_t>(1, out_.schema.cols.size());
     const uint64_t pages =
@@ -1526,7 +1517,6 @@ BatchEngine::BatchEngine(const Config& config, const PTNode& plan)
   ctx.query = config.query;
   ctx.inject_faults =
       config.inject_faults && FaultInjector::Global().enabled();
-  ctx.spill_enabled = config.spill_enabled;
   ctx.ledger_budget = config.spill_budget_pages;
   impl_->root = BuildOp(&ctx, &plan);
 }

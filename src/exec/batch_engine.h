@@ -62,13 +62,11 @@ class BatchEngine {
     /// Consult the process FaultInjector during this evaluation (Session's
     /// non-streaming paths only).
     bool inject_faults = false;
-    /// Over-budget temp working sets spill to disk instead of tripping
-    /// kResourceExhausted. Spilling moves row *bytes* only: the page-charge
+    /// The temp-page ledger budget (already resolved through
+    /// EffectiveSpillBudgetPages; 0 = unlimited). Over-budget temp working
+    /// sets spill to disk. Spilling moves row *bytes* only: the page-charge
     /// logs, ExecCounters, OpStats and MeasuredCost stay bit-identical to an
     /// all-in-memory run (spill I/O is tracked separately in spill_stats).
-    bool spill_enabled = true;
-    /// The temp-page ledger budget the spill decision checks against
-    /// (already resolved through EffectiveSpillBudgetPages). 0 = unlimited.
     size_t spill_budget_pages = 0;
     /// Finalize() merges this engine's spill activity here (Executor-owned).
     SpillStats* spill_stats = nullptr;

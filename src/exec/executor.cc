@@ -107,23 +107,14 @@ const char* SpillOpName(SpillOpTag tag) {
 }  // namespace
 
 Status MakeResourceExhausted(SpillOpTag tag, uint64_t requested,
-                             uint64_t budget, uint64_t live, bool row_refusal) {
+                             uint64_t budget, uint64_t live) {
   const uint64_t remaining = budget > live ? budget - live : 0;
   Status s = Status::Error(
       Status::Code::kResourceExhausted,
-      row_refusal
-          ? StrFormat("%s: a single row needs %llu page(s), more than the "
-                      "whole %llu-page budget — no partitioning can split "
-                      "one row",
-                      SpillOpName(tag),
-                      static_cast<unsigned long long>(requested),
-                      static_cast<unsigned long long>(budget))
-          : StrFormat("%s: temp file of %llu pages exceeds the remaining "
-                      "budget (%llu of %llu pages live) and spilling is off",
-                      SpillOpName(tag),
-                      static_cast<unsigned long long>(requested),
-                      static_cast<unsigned long long>(live),
-                      static_cast<unsigned long long>(budget)));
+      StrFormat("%s: a single row needs %llu page(s), more than the whole "
+                "%llu-page budget — no partitioning can split one row",
+                SpillOpName(tag), static_cast<unsigned long long>(requested),
+                static_cast<unsigned long long>(budget)));
   s.detail = PackResourceDetail(tag, requested, remaining);
   return s;
 }
@@ -135,16 +126,6 @@ uint64_t TempRowPages(size_t ncols) {
   return std::max<uint64_t>(1, (bytes + kPageSizeBytes - 1) / kPageSizeBytes);
 }
 
-bool SpillEnvDefault() {
-  static const bool on = [] {
-    const char* v = std::getenv("RODIN_SPILL");
-    if (v == nullptr || v[0] == '\0') return true;
-    const std::string s(v);
-    return s != "0" && s != "off";
-  }();
-  return on;
-}
-
 size_t SpillBudgetEnvDefault() {
   static const size_t pages = [] {
     const char* v = std::getenv("RODIN_SPILL_BUDGET");
@@ -152,11 +133,6 @@ size_t SpillBudgetEnvDefault() {
     return static_cast<size_t>(std::strtoull(v, nullptr, 10));
   }();
   return pages;
-}
-
-bool EffectiveSpillEnabled(const QueryContext* query) {
-  if (query != nullptr && query->spill.has_value()) return *query->spill;
-  return SpillEnvDefault();
 }
 
 size_t EffectiveSpillBudgetPages(const QueryContext* query) {
@@ -205,7 +181,6 @@ std::unique_ptr<BatchEngine> Executor::NewEngine(const PTNode& plan,
   cfg.method_cost_fp = &method_cost_fp_;
   cfg.query = options.query;
   cfg.inject_faults = options.inject_faults;
-  cfg.spill_enabled = EffectiveSpillEnabled(options.query);
   cfg.spill_budget_pages = EffectiveSpillBudgetPages(options.query);
   cfg.spill_stats = &spill_stats_;
   return std::make_unique<BatchEngine>(cfg, plan);

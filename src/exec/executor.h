@@ -54,20 +54,12 @@ struct ChunkListing {
   std::string disassembly;  // empty = declined, evaluated interpreted
 };
 
-/// Process-wide default for QueryContext::spill: on unless the RODIN_SPILL
-/// environment variable is "0" or "off" (read once).
-bool SpillEnvDefault();
-
 /// Process-wide default for the temp-page ledger budget when the query sets
 /// neither spill_budget_pages nor memory_budget_pages: the RODIN_SPILL_BUDGET
 /// environment variable (pages; read once; 0 / unset = unlimited). CI's
 /// spill job forces a tiny value here to exercise the spill paths in every
 /// test without touching the buffer pool's accounting.
 size_t SpillBudgetEnvDefault();
-
-/// Resolves the run's effective spill switch: the query's tri-state
-/// override when engaged, else the RODIN_SPILL default.
-bool EffectiveSpillEnabled(const QueryContext* query);
 
 /// Resolves the run's effective temp-page ledger budget (0 = unlimited):
 /// query->spill_budget_pages when nonzero, else query->memory_budget_pages
@@ -117,7 +109,7 @@ constexpr uint64_t ResourceDetailRemaining(uint64_t detail) {
 
 /// Aggregate spill activity of one executor since its last reset. Fed into
 /// the rodin.spill.* metrics and the "execute" span; deliberately separate
-/// from ExecCounters / MeasuredCost, which stay bit-identical spill-on vs.
+/// from ExecCounters / MeasuredCost, which stay bit-identical spilled vs.
 /// all-in-memory (docs/ROBUSTNESS.md).
 struct SpillStats {
   uint64_t spills = 0;      // operator working sets that overflowed to disk
@@ -135,11 +127,12 @@ struct SpillStats {
 
 class SpillFile;
 
-/// Builds the typed kResourceExhausted status with the packed detail above.
-/// `row_refusal` selects the single-oversized-row message (the unconditional
-/// refusal — no partitioning can split one row).
+/// Builds the typed kResourceExhausted status with the packed detail above:
+/// the refusal of a single row that needs `requested` pages, more than the
+/// whole `budget` (no partitioning can split one row; every larger working
+/// set spills instead).
 Status MakeResourceExhausted(SpillOpTag tag, uint64_t requested,
-                             uint64_t budget, uint64_t live, bool row_refusal);
+                             uint64_t budget, uint64_t live);
 
 /// Pages one temp-file row of `ncols` columns occupies (the 16-bytes-per-
 /// value model of AllocateTempFile). A row wider than the whole budget is
@@ -209,7 +202,7 @@ void ChargeTempScan(const TempFile& temp, PageCharger* charger);
 /// lives — but the row payload is either in memory (`result`) or, when the
 /// insert overflowed the page budget, in a spill file. The caching decision
 /// itself is budget-independent so that cache-hit charges stay bit-identical
-/// spill-on vs. unlimited.
+/// spilled vs. unlimited.
 struct FixCacheEntry {
   Table result;                      // empty when spilled
   TempFile temp;

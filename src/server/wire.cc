@@ -49,24 +49,16 @@ constexpr uint8_t kTagSet = 7;
 
 // WireQueryOptions flag bits.
 constexpr uint8_t kFlagBypassPlanCache = 1u << 0;
-// Bits 1 and 2 are unused and rejected like bit 7; the other bits keep their
+// Bits 1, 2, 6 and 7 are unused and rejected; the other bits keep their
 // positions so every frame a current client sends keeps its bytes.
 // Adaptive-feedback override. The tuning flag gates a two-F64 tail (drift
 // threshold, EWMA alpha) appended after the flags byte.
 constexpr uint8_t kFlagFeedbackSet = 1u << 3;
 constexpr uint8_t kFlagFeedbackOn = 1u << 4;
 constexpr uint8_t kFlagFeedbackTuning = 1u << 5;
-// Spill override. Gates a tail (after the feedback tuning tail, when both
-// are present): u8 tri-state (0 = inherit, 1 = off, 2 = on) + u64
-// spill-ledger budget pages.
-constexpr uint8_t kFlagSpill = 1u << 6;
-constexpr uint8_t kSpillInherit = 0;
-constexpr uint8_t kSpillOff = 1;
-constexpr uint8_t kSpillOn = 2;
 // Every bit above; a flags byte with any other bit set is malformed.
 constexpr uint8_t kKnownFlags = kFlagBypassPlanCache | kFlagFeedbackSet |
-                                kFlagFeedbackOn | kFlagFeedbackTuning |
-                                kFlagSpill;
+                                kFlagFeedbackOn | kFlagFeedbackTuning;
 
 }  // namespace
 
@@ -173,17 +165,10 @@ void WireQueryOptions::Encode(PayloadWriter* w) const {
   }
   const bool tuning = feedback_drift != 0 || feedback_alpha != 0;
   if (tuning) flags |= kFlagFeedbackTuning;
-  const bool spill_block = spill.has_value() || spill_budget_pages != 0;
-  if (spill_block) flags |= kFlagSpill;
   w->U8(flags);
   if (tuning) {
     w->F64(feedback_drift);
     w->F64(feedback_alpha);
-  }
-  if (spill_block) {
-    w->U8(!spill.has_value() ? kSpillInherit
-                             : (*spill ? kSpillOn : kSpillOff));
-    w->U64(spill_budget_pages);
   }
 }
 
@@ -205,19 +190,6 @@ bool WireQueryOptions::Decode(PayloadReader* r) {
   if ((flags & kFlagFeedbackTuning) != 0) {
     if (!r->F64(&feedback_drift) || !r->F64(&feedback_alpha)) return false;
   }
-  spill.reset();
-  spill_budget_pages = 0;
-  if ((flags & kFlagSpill) != 0) {
-    uint8_t state;
-    if (!r->U8(&state) || !r->U64(&spill_budget_pages)) return false;
-    if (state == kSpillOff) {
-      spill = false;
-    } else if (state == kSpillOn) {
-      spill = true;
-    } else if (state != kSpillInherit) {
-      return false;
-    }
-  }
   return true;
 }
 
@@ -231,9 +203,6 @@ QueryOptions WireQueryOptions::ToQueryOptions() const {
   options.feedback.enabled = feedback;
   options.feedback.drift_threshold = feedback_drift;
   options.feedback.ewma_alpha = feedback_alpha;
-  options.query.spill = spill;
-  options.query.spill_budget_pages =
-      static_cast<size_t>(spill_budget_pages);
   return options;
 }
 
@@ -251,8 +220,6 @@ WireQueryOptions WireQueryOptions::FromQueryOptions(
   wire.feedback = options.feedback.enabled;
   wire.feedback_drift = options.feedback.drift_threshold;
   wire.feedback_alpha = options.feedback.ewma_alpha;
-  wire.spill = options.query.spill;
-  wire.spill_budget_pages = options.query.spill_budget_pages;
   return wire;
 }
 

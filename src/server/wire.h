@@ -170,16 +170,9 @@ struct WireQueryOptions {
   std::optional<bool> feedback;
   double feedback_drift = 0;
   double feedback_alpha = 0;
-  /// Tri-state spill override (nullopt = inherit the server's RODIN_SPILL
-  /// default) and the temp-ledger budget override (0 = inherit; see
-  /// QueryContext::spill_budget_pages). Encoded as one flag bit gating a
-  /// u8 tri-state + u64 budget tail.
-  std::optional<bool> spill;
-  uint64_t spill_budget_pages = 0;
 
   void Encode(PayloadWriter* w) const;
-  /// Returns false on a truncated payload, a flag bit no field uses, or a
-  /// spill tri-state byte outside {inherit, off, on}.
+  /// Returns false on a truncated payload or a flag bit no field uses.
   bool Decode(PayloadReader* r);
 
   /// Lowers onto the facade. The returned options carry a fresh

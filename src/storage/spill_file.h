@@ -29,7 +29,7 @@ namespace rodin {
 ///
 /// Spilled bytes deliberately do NOT flow through the BufferPool: the pool
 /// is a *simulator* of the paper's page accesses and MeasuredCost must stay
-/// bit-identical spill-on vs. all-in-memory (the accounting spine). Spill
+/// bit-identical spilled vs. all-in-memory (the accounting spine). Spill
 /// I/O is tracked separately in SpillStats / rodin.spill.* metrics.
 class SpillFile {
  public:

@@ -1,5 +1,5 @@
 // Spill-to-disk differential suite: forcing every operator working set over
-// the temp-page ledger (spill_budget_pages = 1, spill on) must change
+// the temp-page ledger (spill_budget_pages = 1) must change
 // *nothing observable* about a query — same rows in the same order, every
 // ExecCounters field, the buffer pool's fetch/hit/miss totals and
 // MeasuredCost() bit-identical to an unlimited run and to the whole-table
@@ -8,10 +8,10 @@
 // capacity, so this is exact equality, not a tolerance (docs/ROBUSTNESS.md).
 //
 // Also covered here: the cumulative live-temp-page ledger (two allocations
-// that each fit the budget individually must still trip / spill together),
-// the machine-readable kResourceExhausted detail when spilling is off, the
-// single-oversized-row refusal, spilled fix-cache hits, and lifecycle
-// (cancel / forced deadline / fault-retry) interactions mid-spill.
+// that each fit the budget individually must still spill together), the
+// single-oversized-row refusal and its machine-readable kResourceExhausted
+// detail, spilled fix-cache hits, and lifecycle (cancel / forced deadline /
+// fault-retry) interactions mid-spill.
 //
 // Queries cover the paper's Figure 3 recursion plus randomized SPJ,
 // recursive and graph-closure queries (the exec_differential_test
@@ -52,14 +52,12 @@ constexpr size_t kUnlimitedPages = size_t{1} << 30;
 
 QueryContext ForcedSpillContext() {
   QueryContext q;
-  q.spill = true;
   q.spill_budget_pages = 1;  // every multi-page working set goes to disk
   return q;
 }
 
 QueryContext UnlimitedContext() {
   QueryContext q;
-  q.spill = true;
   q.spill_budget_pages = kUnlimitedPages;
   return q;
 }
@@ -401,6 +399,17 @@ GeneratedDb MakeLedgerDb() {
   return GenerateMusicDb(config, PaperMusicPhysical());
 }
 
+/// The largest single temp allocation kTwoClosuresText makes on
+/// MakeLedgerDb(), in pages. Found once by walking the ledger budget up
+/// from 1 with the (since removed) fail-fast mode and logging every
+/// allocation: seven 1-page fix deltas, the first closure's 2-page fix
+/// cache, seven more deltas, the second closure's 3-page fix cache, then a
+/// 2-page join build — 7 pages live at the end, so budgets 1..6 tripped
+/// and 7 completed. At this budget no allocation exceeds the ledger on its
+/// own; the 3-page fix cache overflows it only on top of the 2 pages
+/// already live.
+constexpr size_t kTwoClosuresLargestAllocPages = 3;
+
 TEST(SpillLedgerTest, CumulativeLiveTempPagesTripAcrossAllocations) {
   GeneratedDb g = MakeLedgerDb();
   Session session(g.db.get());
@@ -410,80 +419,38 @@ TEST(SpillLedgerTest, CumulativeLiveTempPagesTripAcrossAllocations) {
   const QueryRun base = session.Run(kTwoClosuresText, unlimited);
   ASSERT_TRUE(base.ok()) << base.error();
 
-  // Walk the budget up until a trip whose requested size alone fits the
-  // budget: only the *cumulative* ledger can refuse that allocation. The
-  // regression this pins: a per-allocation check (the original bug) never
-  // trips at such a budget, over-committing memory by the live remainder.
-  bool cumulative_trip = false;
-  for (size_t budget = 1; budget <= (1u << 16); budget *= 2) {
-    QueryOptions off;
-    off.cold = true;
-    off.query.spill = false;
-    off.query.spill_budget_pages = budget;
-    const QueryRun run = session.Run(kTwoClosuresText, off);
-    if (run.ok()) break;  // the whole working set fits: nothing left to trip
-    ASSERT_EQ(run.status.code, Status::Code::kResourceExhausted)
-        << run.status.ToString();
-    const uint64_t requested = ResourceDetailRequested(run.status.detail);
-    const uint64_t remaining = ResourceDetailRemaining(run.status.detail);
-    EXPECT_GT(requested, remaining) << run.status.ToString();
-    EXPECT_LE(remaining, budget);
-    if (requested > budget) continue;  // largest-alloc trip, keep growing
-
-    cumulative_trip = true;
-    // The same budget with spilling on must complete with the unlimited
-    // answer and cost (the ledger never clamps the buffer pool), and must
-    // really have spilled.
-    obs::Counter* spill_metric =
-        obs::MetricsRegistry::Global().GetCounter("rodin.spill.spills");
-    const uint64_t spills_before = spill_metric->value();
-    QueryOptions on = off;
-    on.query.spill = true;
-    const QueryRun spilled = session.Run(kTwoClosuresText, on);
-    ASSERT_TRUE(spilled.ok()) << spilled.status.ToString();
-    EXPECT_EQ(Keys(spilled.answer), Keys(base.answer));
-    EXPECT_EQ(spilled.measured_cost, base.measured_cost);
-    EXPECT_GT(spill_metric->value(), spills_before);
-    break;
-  }
-  EXPECT_TRUE(cumulative_trip)
-      << "no budget produced a cumulative-ledger trip; the per-allocation "
-         "regression is unprotected";
-}
-
-// --- kResourceExhausted detail (spilling off) ------------------------------
-
-TEST(SpillLedgerTest, SpillOffTripCarriesMachineReadableDetail) {
-  GeneratedDb g = MakeLedgerDb();
-  Session session(g.db.get());
-  QueryOptions off;
-  off.cold = true;
-  off.query.spill = false;
-  off.query.spill_budget_pages = 1;
-  const QueryRun run = session.Run(kFig3Text, off);
-  ASSERT_FALSE(run.ok());
-  ASSERT_EQ(run.status.code, Status::Code::kResourceExhausted)
-      << run.status.ToString();
-  EXPECT_TRUE(run.answer.rows.empty());
-
-  // The packed detail names the tripping operator and the page arithmetic,
-  // so pool managers branch on the payload, not on message text.
-  const SpillOpTag tag = ResourceDetailOp(run.status.detail);
-  EXPECT_TRUE(tag == SpillOpTag::kJoinBuild || tag == SpillOpTag::kFixDelta ||
-              tag == SpillOpTag::kDedup || tag == SpillOpTag::kFixCache ||
-              tag == SpillOpTag::kUnion)
-      << static_cast<int>(tag);
-  EXPECT_GT(ResourceDetailRequested(run.status.detail), 1u);
-  EXPECT_LE(ResourceDetailRemaining(run.status.detail), 1u);
-  EXPECT_NE(run.status.message.find("spilling is off"), std::string::npos)
-      << run.status.message;
-
-  // The identical query with spilling on (the default) completes.
-  QueryOptions on = off;
-  on.query.spill = true;
-  const QueryRun ok = session.Run(kFig3Text, on);
-  ASSERT_TRUE(ok.ok()) << ok.status.ToString();
-  EXPECT_FALSE(ok.answer.rows.empty());
+  // Only the *cumulative* ledger can spill a ledger allocation at this
+  // budget: the live temps together overflow it although each allocation
+  // fits. The regression this pins: a per-allocation check (the original
+  // bug) spills none of them, over-committing memory by the live
+  // remainder. The spilled run must still be bit-identical to the
+  // unlimited one (the ledger never clamps the buffer pool).
+  obs::Counter* spills =
+      obs::MetricsRegistry::Global().GetCounter("rodin.spill.spills");
+  obs::Counter* passes =
+      obs::MetricsRegistry::Global().GetCounter("rodin.spill.passes");
+  const uint64_t spills_before = spills->value();
+  const uint64_t passes_before = passes->value();
+  QueryOptions bounded = unlimited;
+  bounded.query.spill_budget_pages = kTwoClosuresLargestAllocPages;
+  const QueryRun spilled = session.Run(kTwoClosuresText, bounded);
+  ASSERT_TRUE(spilled.ok()) << spilled.status.ToString();
+  const uint64_t run_spills = spills->value() - spills_before;
+  const uint64_t run_passes = passes->value() - passes_before;
+  EXPECT_GE(run_spills, 1u);
+  // Which working sets spilled matters too. Under a per-allocation check
+  // the live total still outgrows the budget, so the dedup buffers (which
+  // size themselves against the ledger's remainder) spill sorted runs
+  // instead, and each run is merged back exactly once. Only a spilled
+  // ledger allocation is read back more often — the 2-page join build is
+  // re-scanned on every probe pass — so read-back passes outnumber spills
+  // only when the cumulative ledger did its job.
+  EXPECT_GT(run_passes, run_spills);
+  EXPECT_EQ(Keys(spilled.answer), Keys(base.answer));
+  EXPECT_EQ(spilled.counters.predicate_evals, base.counters.predicate_evals);
+  EXPECT_EQ(spilled.counters.rows_produced, base.counters.rows_produced);
+  EXPECT_EQ(spilled.counters.fix_iterations, base.counters.fix_iterations);
+  EXPECT_EQ(spilled.measured_cost, base.measured_cost);
 }
 
 // --- The one unconditional refusal: a row wider than the budget ------------
@@ -541,10 +508,18 @@ TEST(SpillLedgerTest, RowWiderThanBudgetIsRefusedEvenWithSpillOn) {
     EXPECT_NE(status.message.find("no partitioning can split one row"),
               std::string::npos)
         << status.message;
+    // The packed detail names the tripping operator and the page
+    // arithmetic, so pool managers branch on the payload, not on message
+    // text.
+    EXPECT_EQ(ResourceDetailOp(status.detail), SpillOpTag::kFixDelta);
     EXPECT_EQ(ResourceDetailRequested(status.detail), TempRowPages(263));
+    EXPECT_GT(ResourceDetailRequested(status.detail),
+              ResourceDetailRemaining(status.detail));
+    EXPECT_LE(ResourceDetailRemaining(status.detail),
+              forced.spill_budget_pages);
     EXPECT_TRUE(out.rows.empty());
     // Narrower working sets (the union dedup) may have spilled before the
-    // wide row tripped; the point is the refusal fired despite spill-on.
+    // wide row tripped; the point is the refusal fired despite spilling.
   }
 
   // The same plan under an unlimited ledger completes: the refusal is about
@@ -614,7 +589,6 @@ TEST_F(SpillLifecycleTest, CancelAbortsForcedSpillRun) {
   Session session(g_.db.get());
   QueryOptions options;
   options.cold = true;
-  options.query.spill = true;
   options.query.spill_budget_pages = 1;
   options.query.cancel.RequestCancel();
   const QueryRun run = session.Run(kFig3Text, options);
@@ -638,7 +612,6 @@ TEST_F(SpillLifecycleTest, ForcedDeadlineMidFixpointUnderForcedSpill) {
   Session session(g_.db.get());
   QueryOptions options;
   options.cold = true;
-  options.query.spill = true;
   options.query.spill_budget_pages = 1;
   const QueryRun run = session.Run(kFig3Text, options);
   ASSERT_FALSE(run.ok());
@@ -668,7 +641,6 @@ TEST_F(SpillLifecycleTest, FaultRetryUnderForcedSpillIsBitIdentical) {
 
   QueryOptions forced;
   forced.cold = true;
-  forced.query.spill = true;
   forced.query.spill_budget_pages = 1;
   const QueryRun retried = session.Run(kFig3Text, forced);
   ASSERT_TRUE(retried.ok()) << retried.status.ToString();

@@ -11,6 +11,7 @@
 #include "api/session.h"
 #include "common/faults.h"
 #include "exec/executor.h"
+#include "obs/metrics.h"
 #include "server/client.h"
 #include "server/server.h"
 #include "cost/fig7.h"
@@ -214,20 +215,13 @@ TEST_F(TutorialTest, BudgetsAndCancellationSectionWorksAsWritten) {
   // fixpoint's ~71-page temp working set, so the over-budget tail spills
   // to disk and the run completes, with the pool unclamped as documented.
   ro.query.spill_budget_pages = 48;
+  obs::Counter* spills =
+      obs::MetricsRegistry::Global().GetCounter("rodin.spill.spills");
+  const uint64_t spills_before = spills->value();
   const QueryRun run = session.Run(kQuery, ro);
   ASSERT_TRUE(run.ok()) << run.status.ToString();
   EXPECT_FALSE(run.answer.rows.empty());
-
-  // Opting out of spilling restores the typed hard failure, with the
-  // tripping operator and page arithmetic packed into the detail.
-  QueryOptions off = ro;
-  off.query.spill = false;
-  const QueryRun refused = session.Run(kQuery, off);
-  ASSERT_FALSE(refused.ok());
-  EXPECT_EQ(refused.status.code, Status::Code::kResourceExhausted)
-      << refused.status.ToString();
-  EXPECT_GT(ResourceDetailRequested(refused.status.detail),
-            ResourceDetailRemaining(refused.status.detail));
+  EXPECT_GT(spills->value(), spills_before);
 
   // Cancellation mid-stream: a shared-flag token copy stops the cursor.
   QueryOptions streaming;

@@ -4,7 +4,6 @@
 //             [--optimizer=cost|deductive|naive|exhaustive|annealing]
 //             [--parallel=P] [--threads=N] [--exec-threads=N]
 //             [--batch-rows=N] [--deadline-ms=N] [--memory-budget-pages=N]
-//             [--spill] [--no-spill] [--spill-budget-pages=N]
 //             [--explain] [--plan-only]
 //             [--feedback] [--no-feedback] [--feedback-drift=X]
 //             [--feedback-alpha=X] [--no-plan-cache] [--symbolic]
@@ -49,13 +48,8 @@
 // disables caching process-wide).
 //
 // --deadline-ms and --memory-budget-pages bound the run's lifecycle (see
-// docs/ROBUSTNESS.md). --spill / --no-spill select whether an over-budget
-// operator working set spills to disk (graceful degradation; the default)
-// or fails fast with resource_exhausted; omitted, the RODIN_SPILL
-// environment switch decides. --spill-budget-pages bounds the temp-page
-// ledger alone — unlike --memory-budget-pages it never clamps the buffer
-// pool, so spilling can be forced while accounting stays identical.
-// On failure the exit code is the Status taxonomy's
+// docs/ROBUSTNESS.md); an operator working set over the memory budget
+// spills to disk with an unchanged answer. On failure the exit code is the Status taxonomy's
 // code (ExitCodeForStatus): parse=3 semantic=4 optimize=5 exec=6
 // cancelled=7 deadline=8 resource=9 fault=10 internal=11
 // invalid_argument=12; usage errors exit 2.
@@ -375,8 +369,7 @@ void Usage() {
       "annealing]\n"
       "                 [--parallel=P] [--threads=N] [--exec-threads=N]\n"
       "                 [--batch-rows=N] [--deadline-ms=N]\n"
-      "                 [--memory-budget-pages=N] [--spill] [--no-spill]\n"
-      "                 [--spill-budget-pages=N] [--explain] [--plan-only]\n"
+      "                 [--memory-budget-pages=N] [--explain] [--plan-only]\n"
       "                 [--feedback] [--no-feedback] [--feedback-drift=X]\n"
       "                 [--feedback-alpha=X]\n"
       "                 [--no-plan-cache] [--symbolic] [--trace-out=FILE]\n"
@@ -457,19 +450,12 @@ int main(int argc, char** argv) {
     } else if (ParseFlag(argv[i], "memory-budget-pages", &value)) {
       options.per_query.query.memory_budget_pages =
           ParseCount(value, "memory-budget-pages");
-    } else if (ParseFlag(argv[i], "spill-budget-pages", &value)) {
-      options.per_query.query.spill_budget_pages =
-          ParseCount(value, "spill-budget-pages");
     } else if (ParseFlag(argv[i], "query", &value)) {
       options.query_file = value;
     } else if (ParseFlag(argv[i], "mutate", &value)) {
       options.mutate_spec = value;
     } else if (ParseFlag(argv[i], "trace-out", &value)) {
       options.trace_out = value;
-    } else if (std::strcmp(argv[i], "--spill") == 0) {
-      options.per_query.query.spill = true;
-    } else if (std::strcmp(argv[i], "--no-spill") == 0) {
-      options.per_query.query.spill = false;
     } else if (std::strcmp(argv[i], "--feedback") == 0) {
       options.per_query.feedback.enabled = true;
     } else if (std::strcmp(argv[i], "--no-feedback") == 0) {
