@@ -19,8 +19,8 @@ namespace rodin {
 /// without making any legal value unreachable).
 struct FeedbackOptions {
   /// Harvest measured cardinalities from this run and cost this run's
-  /// optimization with the learned corrections (nullopt = the RODIN_FEEDBACK
-  /// environment default, off unless set). Feedback never changes results,
+  /// optimization with the learned corrections (nullopt = inherit the
+  /// process default, which is off). Feedback never changes results,
   /// only plans; faulted, truncated and cancelled runs never contribute.
   std::optional<bool> enabled;
   /// Demote a *cached* plan when measured cost drifts this many times from

@@ -292,17 +292,17 @@ void Session::OptimizeThroughCache(const QueryGraph& graph,
   // The injector makes any attempt (optimizer or executor) abortable and
   // retryable; a plan produced or reused under it could differ from the
   // clean-run plan in unverifiable ways. Bypass entirely: no lookups, no
-  // inserts — under RODIN_FAULTS the hit rate is 0 by construction.
-  const bool use_cache = PlanCacheEnabledByEnv() &&
+  // inserts — under an enabled injector the hit rate is 0 by construction.
+  const bool use_cache = TestDefaults::Global().plan_cache &&
                          !options.bypass_plan_cache &&
                          !FaultInjector::Global().enabled();
   // Budget-aware costing: an explicit per-query memory budget enters the
   // cost params (the spill penalty term) and with them the plan-cache
   // fingerprint, so budgeted and unbudgeted runs of one query never share
-  // a cached plan. The spill-budget ledger override and RODIN_SPILL_BUDGET
-  // deliberately do NOT enter: they are spill-forcing test plumbing, and
-  // perturbing plan choice would break the bit-identity they exist to
-  // exercise.
+  // a cached plan. The spill-budget ledger override and the test harness's
+  // forced ledger deliberately do NOT enter: they are spill-forcing test
+  // plumbing, and perturbing plan choice would break the bit-identity they
+  // exist to exercise.
   CostParams effective_params = cost_params_;
   effective_params.memory_budget_pages = options.query.memory_budget_pages;
   if (use_cache) {
@@ -395,13 +395,13 @@ Status Session::AcquirePlan(const QueryGraph& graph,
   opt_options.query = &acq->qctx;
   opt_options.inject_faults = inject_faults;
 
-  // Feedback: QueryOptions::feedback over its inherit defaults
-  // (RODIN_FEEDBACK; kDefaultDriftThreshold / kDefaultFeedbackAlpha). Same
+  // Feedback: QueryOptions::feedback over its inherit defaults (off outside
+  // the test harness; kDefaultDriftThreshold / kDefaultFeedbackAlpha). Same
   // rule as the plan cache: an enabled injector perturbs and retries
   // attempts, so neither side of the loop may run — corrections applied
   // mid-test would make a retried run's plan differ from the clean run it
   // must be bit-identical to. Full bypass, both apply and harvest.
-  if (options.feedback.enabled.value_or(FeedbackEnvDefault()) &&
+  if (options.feedback.enabled.value_or(TestDefaults::Global().feedback) &&
       !FaultInjector::Global().enabled()) {
     acq->feedback = feedback_;
   }

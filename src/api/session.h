@@ -211,8 +211,9 @@ class PreparedQuery {
 /// a private one. A stats-version bump (every commit, or
 /// EngineHandle::RefreshStats) invalidates the entries written before it;
 /// truncated optimizations and any run while the fault injector is enabled
-/// are never cached. QueryOptions::bypass_plan_cache opts a single run out;
-/// RODIN_PLAN_CACHE=0 disables caching process-wide.
+/// are never cached. QueryOptions::bypass_plan_cache opts a single run out
+/// (the test harness can also turn caching off process-wide, through
+/// TestDefaults, for CI's cache-off leg).
 ///
 /// Every entry point runs one pipeline — acquire -> execute -> learn: the
 /// acquire step (AcquirePlan) validates, refreshes statistics, arms the

@@ -1,8 +1,5 @@
 #include "common/faults.h"
 
-#include <cstdlib>
-#include <sstream>
-
 namespace rodin {
 
 namespace {
@@ -21,47 +18,16 @@ double ToUnit(uint64_t bits) {
 
 }  // namespace
 
-FaultInjector::FaultInjector() { ConfigureFromEnv(); }
+TestDefaults& TestDefaults::Global() {
+  static TestDefaults defaults;
+  return defaults;
+}
+
+FaultInjector::FaultInjector() { Configure(FaultConfig{}); }
 
 FaultInjector& FaultInjector::Global() {
   static FaultInjector* instance = new FaultInjector();
   return *instance;
-}
-
-FaultConfig FaultInjector::ParseEnvValue(const std::string& value) {
-  FaultConfig config;
-  if (value.empty() || value == "0") return config;  // disabled
-  config.enabled = true;
-  if (value == "1") return config;  // defaults
-  std::stringstream ss(value);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    const size_t eq = item.find('=');
-    if (eq == std::string::npos) continue;
-    const std::string key = item.substr(0, eq);
-    const std::string val = item.substr(eq + 1);
-    if (key == "page_fetch") {
-      config.page_fetch_fail = std::strtod(val.c_str(), nullptr);
-    } else if (key == "alloc") {
-      config.alloc_fail = std::strtod(val.c_str(), nullptr);
-    } else if (key == "seed") {
-      config.seed = std::strtoull(val.c_str(), nullptr, 10);
-    } else if (key == "max") {
-      config.max_faults = std::strtoull(val.c_str(), nullptr, 10);
-    } else if (key == "stage") {
-      config.force_deadline_stage =
-          static_cast<int>(std::strtol(val.c_str(), nullptr, 10));
-    } else if (key == "fix_iter") {
-      config.force_deadline_fix_iter =
-          static_cast<int>(std::strtol(val.c_str(), nullptr, 10));
-    }
-  }
-  return config;
-}
-
-void FaultInjector::ConfigureFromEnv() {
-  const char* env = std::getenv("RODIN_FAULTS");
-  Configure(ParseEnvValue(env != nullptr ? env : ""));
 }
 
 void FaultInjector::Configure(const FaultConfig& config) {

@@ -2,36 +2,44 @@
 #define RODIN_COMMON_FAULTS_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <string>
 
 namespace rodin {
 
-/// Fault-injection configuration. Off by default; enabled by the
-/// RODIN_FAULTS environment variable or programmatically (tests).
-///
-/// RODIN_FAULTS grammar:
-///   unset, "" or "0"      — disabled
-///   "1"                   — enabled with the defaults below
-///   "k=v,k=v,..."         — enabled with overrides, e.g.
-///                           "page_fetch=0.01,alloc=0.005,seed=7,max=3,
-///                            stage=3,fix_iter=2"
-/// Keys: page_fetch (probability a page fetch fails with kFault),
-/// alloc (probability a temp-file allocation fails with kFault),
-/// seed (RNG seed), max (cap on total injected faults, 0 = unlimited),
-/// stage (force kDeadlineExceeded when optimizer stage N starts, 1-based,
-/// -1 = off), fix_iter (force kDeadlineExceeded when semi-naive iteration N
-/// starts, 1-based, -1 = off).
+/// Fault-injection configuration. Off by default; enabled only through
+/// FaultInjector::Configure — the product reads no environment. The test
+/// harness (tests/test_env.cc) parses the RODIN_FAULTS variable of the CI
+/// fault leg into this struct before the first test runs.
 struct FaultConfig {
   bool enabled = false;
-  double page_fetch_fail = 0.01;
-  double alloc_fail = 0.005;
-  uint64_t seed = 0x5eedfau;
+  double page_fetch_fail = 0.01;  // P(a page fetch fails with kFault)
+  double alloc_fail = 0.005;      // P(a temp-file allocation fails)
+  uint64_t seed = 0x5eedfau;      // RNG seed
   /// Stop injecting after this many faults (0 = unlimited). Lets tests
   /// force exactly one fault and then observe a clean retry.
   uint64_t max_faults = 0;
   int force_deadline_stage = -1;     // 1-based optimizer stage, -1 = off
   int force_deadline_fix_iter = -1;  // 1-based fixpoint iteration, -1 = off
+};
+
+/// Process-wide defaults that only a test harness changes: tests/test_env.cc
+/// installs them from the RODIN_SPILL_BUDGET, RODIN_PLAN_CACHE and
+/// RODIN_FEEDBACK variables of the CI legs before the first test runs, so
+/// every test runs under the leg's configuration. Nothing in the product
+/// writes them, so a shipped binary always runs with the initial values
+/// below and behaves only as its flags, QueryOptions and wire fields say.
+/// Written once before any query runs; not synchronized.
+struct TestDefaults {
+  /// Temp-page ledger budget of a query that sets neither
+  /// spill_budget_pages nor memory_budget_pages (0 = unlimited).
+  size_t spill_budget_pages = 0;
+  /// Sessions consult their plan cache (false = every run re-optimizes).
+  bool plan_cache = true;
+  /// QueryOptions::feedback.enabled of a query that leaves it unset.
+  bool feedback = false;
+
+  static TestDefaults& Global();
 };
 
 /// Process-global fault injector. Probabilistic decisions draw from one
@@ -44,17 +52,14 @@ struct FaultConfig {
 /// The injector is consulted only where ExecOptions::inject_faults /
 /// OptimizerOptions wiring turned it on — Session's non-streaming paths.
 /// Raw Executor use (differential tests, benches) and streaming cursors
-/// never inject, so RODIN_FAULTS=1 leaves their behaviour untouched.
+/// never inject, so an enabled injector leaves their behaviour untouched.
 class FaultInjector {
  public:
-  /// The singleton, configured from RODIN_FAULTS on first use.
+  /// The singleton; disabled until Configure() enables it.
   static FaultInjector& Global();
 
   /// Replaces the configuration and resets the RNG and fault counter.
   void Configure(const FaultConfig& config);
-
-  /// Re-reads RODIN_FAULTS (test hook; also used by Global() once).
-  void ConfigureFromEnv();
 
   const FaultConfig& config() const { return config_; }
   bool enabled() const { return config_.enabled; }
@@ -77,9 +82,6 @@ class FaultInjector {
   uint64_t faults_injected() const {
     return faults_.load(std::memory_order_relaxed);
   }
-
-  /// Parses a RODIN_FAULTS value. Exposed for tests.
-  static FaultConfig ParseEnvValue(const std::string& value);
 
  private:
   FaultInjector();

@@ -66,8 +66,7 @@ struct QueryContext {
   /// while spilling is forced (or, set huge, prevented) — the spill
   /// differential tests and bench_spill use it. Not carried on the wire or
   /// the CLI. Precedence: this value when nonzero, else
-  /// memory_budget_pages, else the RODIN_SPILL_BUDGET environment default.
-  /// 0 = inherit.
+  /// memory_budget_pages, else unlimited. 0 = inherit.
   size_t spill_budget_pages = 0;
 
   /// Starts the deadline clock. Called once per run attempt by Session;

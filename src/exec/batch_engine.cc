@@ -144,7 +144,7 @@ struct ExecCtx {
           tag, row_pages, ledger_budget, live_temp_pages));
     }
     if (live_temp_pages + temp.pages > ledger_budget) {
-      ++spill.spills;
+      spill.CountSpill(tag);
       if (spilled != nullptr) *spilled = true;
       return temp;
     }
@@ -239,7 +239,8 @@ std::shared_ptr<SpillFile> SpillRows(ExecCtx* ctx,
 /// duplicate-free sequence sort+unique would.
 class DedupBuffer {
  public:
-  DedupBuffer(ExecCtx* ctx, RowSchema schema) : ctx_(ctx) {
+  DedupBuffer(ExecCtx* ctx, RowSchema schema, SpillOpTag tag)
+      : ctx_(ctx), tag_(tag) {
     out_.schema = std::move(schema);
   }
 
@@ -251,7 +252,7 @@ class DedupBuffer {
     SortUnique(&buf_);
     if (!OverBudget()) return;
     runs_.push_back(SpillRows(ctx_, buf_));
-    ++ctx_->spill.spills;
+    ctx_->spill.CountSpill(tag_);
     buf_.clear();
     buf_.shrink_to_fit();
   }
@@ -331,6 +332,7 @@ class DedupBuffer {
   }
 
   ExecCtx* ctx_;
+  SpillOpTag tag_;  // kDedup (Proj) or kUnion, for the per-operator count
   Table out_;
   std::vector<Row> buf_;
   std::vector<std::shared_ptr<SpillFile>> runs_;
@@ -820,7 +822,7 @@ class ProjOp : public Op {
       materialized_ = true;
       RowSchema s;
       s.cols = node_->cols;
-      DedupBuffer buf(ctx_, std::move(s));
+      DedupBuffer buf(ctx_, std::move(s), SpillOpTag::kDedup);
       RowBatch in;
       while (children_[0]->Pull(&in)) {
         ProjectBatch(in);
@@ -1255,7 +1257,7 @@ class UnionOp : public Op {
       materialized_ = true;
       RowSchema s;
       s.cols = node_->cols;
-      DedupBuffer buf(ctx_, std::move(s));
+      DedupBuffer buf(ctx_, std::move(s), SpillOpTag::kUnion);
       for (auto& c : children_) {
         Table t = DrainOp(c.get());
         buf.Add(&t.rows);
@@ -1609,6 +1611,13 @@ void BatchEngine::Finalize() {
     static obs::Counter* passes =
         obs::MetricsRegistry::Global().GetCounter("rodin.spill.passes");
     spills->Add(ctx.spill.spills);
+    for (size_t t = 1; t < kSpillOpSlots; ++t) {
+      if (ctx.spill.spills_by_op[t] == 0) continue;
+      obs::MetricsRegistry::Global()
+          .GetCounter(StrFormat("rodin.spill.spills.%s",
+                                SpillOpName(static_cast<SpillOpTag>(t))))
+          ->Add(ctx.spill.spills_by_op[t]);
+    }
     partitions->Add(ctx.spill.partitions);
     bytes->Add(ctx.spill.bytes);
     passes->Add(ctx.spill.passes);

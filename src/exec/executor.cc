@@ -1,11 +1,11 @@
 #include "exec/executor.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <string>
 #include <utility>
 
 #include "common/check.h"
+#include "common/faults.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "exec/batch_engine.h"
@@ -86,8 +86,6 @@ ThreadPool* Executor::PoolFor(size_t threads) {
   return pools_.back().get();
 }
 
-namespace {
-
 const char* SpillOpName(SpillOpTag tag) {
   switch (tag) {
     case SpillOpTag::kJoinBuild:
@@ -103,8 +101,6 @@ const char* SpillOpName(SpillOpTag tag) {
   }
   return "unknown";
 }
-
-}  // namespace
 
 Status MakeResourceExhausted(SpillOpTag tag, uint64_t requested,
                              uint64_t budget, uint64_t live) {
@@ -126,21 +122,12 @@ uint64_t TempRowPages(size_t ncols) {
   return std::max<uint64_t>(1, (bytes + kPageSizeBytes - 1) / kPageSizeBytes);
 }
 
-size_t SpillBudgetEnvDefault() {
-  static const size_t pages = [] {
-    const char* v = std::getenv("RODIN_SPILL_BUDGET");
-    if (v == nullptr || v[0] == '\0') return size_t{0};
-    return static_cast<size_t>(std::strtoull(v, nullptr, 10));
-  }();
-  return pages;
-}
-
 size_t EffectiveSpillBudgetPages(const QueryContext* query) {
   if (query != nullptr) {
     if (query->spill_budget_pages > 0) return query->spill_budget_pages;
     if (query->memory_budget_pages > 0) return query->memory_budget_pages;
   }
-  return SpillBudgetEnvDefault();
+  return TestDefaults::Global().spill_budget_pages;
 }
 
 void Executor::EmitExecMetrics(size_t rows) {

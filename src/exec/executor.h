@@ -1,6 +1,7 @@
 #ifndef RODIN_EXEC_EXECUTOR_H_
 #define RODIN_EXEC_EXECUTOR_H_
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -54,16 +55,10 @@ struct ChunkListing {
   std::string disassembly;  // empty = declined, evaluated interpreted
 };
 
-/// Process-wide default for the temp-page ledger budget when the query sets
-/// neither spill_budget_pages nor memory_budget_pages: the RODIN_SPILL_BUDGET
-/// environment variable (pages; read once; 0 / unset = unlimited). CI's
-/// spill job forces a tiny value here to exercise the spill paths in every
-/// test without touching the buffer pool's accounting.
-size_t SpillBudgetEnvDefault();
-
 /// Resolves the run's effective temp-page ledger budget (0 = unlimited):
 /// query->spill_budget_pages when nonzero, else query->memory_budget_pages
-/// when nonzero, else the RODIN_SPILL_BUDGET default.
+/// when nonzero, else TestDefaults::spill_budget_pages — unlimited outside
+/// the test harness, which forces a tiny ledger in CI's spill leg.
 size_t EffectiveSpillBudgetPages(const QueryContext* query);
 
 /// Which operator working set hit the budget. Carried in the
@@ -76,6 +71,14 @@ enum class SpillOpTag : uint8_t {
   kFixCache = 4,   // memoized fixpoint result
   kUnion = 5,      // union dedup table
 };
+
+/// Slots of a per-SpillOpTag array, indexed by the tag's value (slot 0 is
+/// unused).
+constexpr size_t kSpillOpSlots = 6;
+
+/// The operator name kResourceExhausted messages and the per-operator
+/// rodin.spill.spills.<name> metrics use, e.g. "join-build".
+const char* SpillOpName(SpillOpTag tag);
 
 /// Machine-readable kResourceExhausted payload, same discipline as
 /// kOverloaded (in-flight count) and kConflict (live-cursor count):
@@ -113,12 +116,24 @@ constexpr uint64_t ResourceDetailRemaining(uint64_t detail) {
 /// all-in-memory (docs/ROBUSTNESS.md).
 struct SpillStats {
   uint64_t spills = 0;      // operator working sets that overflowed to disk
+  /// `spills` split by the spilling operator, indexed by SpillOpTag value:
+  /// ledger allocations (join build, fix delta, fix cache) and dedup-buffer
+  /// runs (dedup, union). Sums to `spills`.
+  std::array<uint64_t, kSpillOpSlots> spills_by_op{};
   uint64_t partitions = 0;  // budget-sized partitions across all spill files
   uint64_t bytes = 0;       // serialized bytes written
   uint64_t passes = 0;      // sequential read-back passes over spill files
 
+  void CountSpill(SpillOpTag tag) {
+    ++spills;
+    ++spills_by_op[static_cast<size_t>(tag)];
+  }
+
   void Add(const SpillStats& o) {
     spills += o.spills;
+    for (size_t t = 0; t < kSpillOpSlots; ++t) {
+      spills_by_op[t] += o.spills_by_op[t];
+    }
     partitions += o.partitions;
     bytes += o.bytes;
     passes += o.passes;
@@ -175,7 +190,7 @@ struct ExecOptions {
   /// semi-naive iteration. Tripping it aborts the evaluation with the
   /// corresponding status; partial page charges stay exact.
   const QueryContext* query = nullptr;
-  /// Consult the process FaultInjector (RODIN_FAULTS) during this run. Only
+  /// Consult the process FaultInjector during this run. Only
   /// Session's non-streaming paths set this, so raw Executor callers —
   /// differential tests, benches — and streaming cursors are never
   /// perturbed by an enabled injector.

@@ -15,7 +15,6 @@ size_t ThreadShardIndex() {
 }
 
 void Histogram::Observe(double v) {
-  if constexpr (!kObsEnabled) return;
   const uint64_t n = count_.fetch_add(1, std::memory_order_relaxed);
   // sum: relaxed fetch_add on atomic<double> (C++20).
   sum_.fetch_add(v, std::memory_order_relaxed);

@@ -10,8 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/config.h"
-
 namespace rodin::obs {
 
 /// Shards per counter. Increments land on a per-thread shard (cache-line
@@ -29,7 +27,6 @@ class Counter {
   explicit Counter(std::string name) : name_(std::move(name)) {}
 
   void Add(uint64_t delta) {
-    if constexpr (!kObsEnabled) return;
     shards_[ThreadShardIndex()].v.fetch_add(delta, std::memory_order_relaxed);
   }
   void Increment() { Add(1); }
@@ -58,7 +55,6 @@ class Gauge {
   explicit Gauge(std::string name) : name_(std::move(name)) {}
 
   void Set(double v) {
-    if constexpr (!kObsEnabled) return;
     value_.store(v, std::memory_order_relaxed);
   }
   double value() const { return value_.load(std::memory_order_relaxed); }

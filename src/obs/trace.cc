@@ -106,8 +106,6 @@ std::string Trace::ToTreeString() const {
   return out;
 }
 
-#if RODIN_OBS_ENABLED
-
 uint64_t Tracer::Begin(const std::string& name, const std::string& cat) {
   std::lock_guard<std::mutex> lock(mu_);
   if (events_.size() >= kMaxEvents) {
@@ -176,7 +174,5 @@ std::shared_ptr<Trace> Tracer::Finish() {
   depth_ = 0;
   return std::make_shared<Trace>(std::move(events_), dropped_);
 }
-
-#endif  // RODIN_OBS_ENABLED
 
 }  // namespace rodin::obs

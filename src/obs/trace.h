@@ -9,8 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/config.h"
-
 namespace rodin::obs {
 
 /// One recorded event. Duration events (dur_us >= 0) are spans; dur_us < 0
@@ -48,8 +46,6 @@ class Trace {
   std::vector<TraceEvent> events_;
   size_t dropped_ = 0;
 };
-
-#if RODIN_OBS_ENABLED
 
 /// Span-based tracer. Begin() returns a span id whose End() fills the
 /// duration from the monotonic clock; Instant() records point events.
@@ -94,36 +90,10 @@ class Tracer {
   size_t dropped_ = 0;
 };
 
-#else  // !RODIN_OBS_ENABLED — the tracer compiles to no-ops.
-
-class Tracer {
- public:
-  static constexpr size_t kMaxEvents = 0;
-
-  Tracer() = default;
-  Tracer(const Tracer&) = delete;
-  Tracer& operator=(const Tracer&) = delete;
-
-  uint64_t Begin(const std::string&, const std::string&) { return 0; }
-  void End(uint64_t) {}
-  void AddArg(uint64_t, const std::string&, std::string) {}
-  void AddArg(uint64_t, const std::string&, double) {}
-  void Instant(const std::string&, const std::string&,
-               std::vector<std::pair<std::string, std::string>> = {}) {}
-  size_t event_count() const { return 0; }
-  std::shared_ptr<Trace> Finish() {
-    return std::make_shared<Trace>(std::vector<TraceEvent>{});
-  }
-};
-
-#endif  // RODIN_OBS_ENABLED
-
 /// RAII span: opens on construction (when `tracer` is non-null), closes on
-/// scope exit. With RODIN_OBS off this is an empty type — the static_assert
-/// below is the compile-time guard that the off build stays zero-cost.
+/// scope exit.
 class ScopedSpan {
  public:
-#if RODIN_OBS_ENABLED
   ScopedSpan(Tracer* tracer, const char* name, const char* cat)
       : tracer_(tracer) {
     if (tracer_ != nullptr) id_ = tracer_->Begin(name, cat);
@@ -138,24 +108,13 @@ class ScopedSpan {
     if (tracer_ != nullptr) tracer_->AddArg(id_, key, std::move(value));
   }
 
+  ScopedSpan(const ScopedSpan&) = delete;
+  ScopedSpan& operator=(const ScopedSpan&) = delete;
+
  private:
   Tracer* tracer_ = nullptr;
   uint64_t id_ = 0;
-#else
-  ScopedSpan(Tracer*, const char*, const char*) {}
-  void Arg(const std::string&, double) {}
-  void Arg(const std::string&, std::string) {}
-#endif
-
- public:
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
 };
-
-#if !RODIN_OBS_ENABLED
-static_assert(sizeof(ScopedSpan) == 1,
-              "RODIN_OBS=OFF must compile ScopedSpan to an empty type");
-#endif
 
 }  // namespace rodin::obs
 

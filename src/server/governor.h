@@ -21,8 +21,8 @@ namespace rodin::server {
 /// retrying the identical query yields the identical refusal), so clients
 /// can branch on Status::retryable() alone.
 ///
-/// Counters are plain relaxed atomics, not obs metrics, so the server's
-/// stats endpoint stays truthful under RODIN_OBS=OFF builds.
+/// Counters are per-instance relaxed atomics, not the process-wide obs
+/// metrics, so each server's stats endpoint reports only its own traffic.
 class Governor {
  public:
   explicit Governor(size_t max_in_flight) : max_in_flight_(max_in_flight) {}

@@ -54,8 +54,9 @@ struct ServerOptions {
 /// in-flight request's CancelToken, which the engine polls per morsel
 /// batch — a vanished client stops costing CPU within one batch.
 ///
-/// Stats are plain relaxed atomics (not obs metrics) so they stay truthful
-/// under RODIN_OBS=OFF; server_test asserts against this snapshot.
+/// Stats are per-instance relaxed atomics, not the process-wide obs metrics,
+/// so servers sharing a process never mix their counts; server_test asserts
+/// against this snapshot.
 class Server {
  public:
   struct Stats {

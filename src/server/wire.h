@@ -162,11 +162,10 @@ struct WireQueryOptions {
   uint32_t exec_threads = 0;         // 0 = inherit executor default
   uint32_t batch_rows = 0;           // 0 = inherit executor default
   bool bypass_plan_cache = false;
-  /// Tri-state adaptive-feedback override (nullopt = inherit the server's
-  /// RODIN_FEEDBACK default). The tuning knobs follow the facade's inherit
-  /// rule: 0 = server default (kDefaultDriftThreshold /
-  /// kDefaultFeedbackAlpha). Encoded as flag bits + an optional two-F64
-  /// tail.
+  /// Tri-state adaptive-feedback override (nullopt = inherit, which is
+  /// off). The tuning knobs follow the facade's inherit rule: 0 = server
+  /// default (kDefaultDriftThreshold / kDefaultFeedbackAlpha). Encoded as
+  /// flag bits + an optional two-F64 tail.
   std::optional<bool> feedback;
   double feedback_drift = 0;
   double feedback_alpha = 0;

@@ -98,15 +98,13 @@ TEST_F(ExplainTest, Fig3ReportsStagesDecisionsAndCounters) {
 
   // The trace covers the optimizer stages and execution.
   ASSERT_NE(ex.trace, nullptr);
-  if (obs::kObsEnabled) {
-    EXPECT_TRUE(ex.trace->HasSpan("rewrite"));
-    EXPECT_TRUE(ex.trace->HasSpan("translate"));
-    EXPECT_TRUE(ex.trace->HasSpan("generatePT"));
-    EXPECT_TRUE(ex.trace->HasSpan("transformPT"));
-    EXPECT_TRUE(ex.trace->HasSpan("execute"));
-    EXPECT_NE(ex.trace->ToChromeJson().find("push-vs-unpushed"),
-              std::string::npos);
-  }
+  EXPECT_TRUE(ex.trace->HasSpan("rewrite"));
+  EXPECT_TRUE(ex.trace->HasSpan("translate"));
+  EXPECT_TRUE(ex.trace->HasSpan("generatePT"));
+  EXPECT_TRUE(ex.trace->HasSpan("transformPT"));
+  EXPECT_TRUE(ex.trace->HasSpan("execute"));
+  EXPECT_NE(ex.trace->ToChromeJson().find("push-vs-unpushed"),
+            std::string::npos);
 }
 
 // est_cost is cumulative for Proj and Union parents (Figure 5 composes
@@ -147,7 +145,6 @@ std::map<std::string, double> SearchCounterValues() {
 }
 
 TEST_F(ExplainTest, SearchMetricsIdenticalAcrossThreadCounts) {
-  if (!obs::kObsEnabled) GTEST_SKIP() << "observability compiled out";
   const QueryGraph query = Fig3Query(*g_.schema, 6);
   std::map<std::string, double> deltas[2];
   const size_t thread_counts[2] = {1, 4};

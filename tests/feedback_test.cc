@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -26,6 +25,7 @@
 #include "datagen/music_gen.h"
 #include "query/builder.h"
 #include "query/parser.h"
+#include "test_env.h"
 
 namespace rodin {
 namespace {
@@ -438,9 +438,7 @@ class FeedbackHygieneTest : public ::testing::Test {
   FeedbackHygieneTest() : g_(MakeMusicDb()) {}
   void TearDown() override {
     // Restore whatever the process-wide RODIN_FAULTS leg configured.
-    const char* env = std::getenv("RODIN_FAULTS");
-    FaultInjector::Global().Configure(
-        FaultInjector::ParseEnvValue(env != nullptr ? env : ""));
+    test_env::RestoreFaults();
   }
 
   GeneratedDb g_;
@@ -520,7 +518,7 @@ TEST_F(FeedbackHygieneTest, CancelledAndAbandonedCursorsContributeNothing) {
 // --- Drift demotion ----------------------------------------------------------
 
 TEST(FeedbackDemotionTest, DemoteReoptimizeRecacheRoundTripAcrossSessions) {
-  if (!PlanCacheEnabledByEnv()) {
+  if (!TestDefaults::Global().plan_cache) {
     GTEST_SKIP() << "RODIN_PLAN_CACHE=0: demotion is about cached plans";
   }
   if (FaultInjector::Global().enabled()) {
@@ -573,7 +571,7 @@ TEST(FeedbackDemotionTest, DemoteReoptimizeRecacheRoundTripAcrossSessions) {
 // demotion asked for, so it consumes the note: a later miss on the same key
 // for another reason (here: Clear) must not claim a drift it never saw.
 TEST(FeedbackDemotionTest, StreamingReoptimizationConsumesTheDemotionNote) {
-  if (!PlanCacheEnabledByEnv()) {
+  if (!TestDefaults::Global().plan_cache) {
     GTEST_SKIP() << "RODIN_PLAN_CACHE=0: demotion is about cached plans";
   }
   if (FaultInjector::Global().enabled()) {
@@ -599,7 +597,8 @@ TEST(FeedbackDemotionTest, StreamingReoptimizationConsumesTheDemotionNote) {
 }
 
 TEST(FeedbackDemotionTest, GenerousThresholdNeverDemotes) {
-  if (!PlanCacheEnabledByEnv() || FaultInjector::Global().enabled()) {
+  if (!TestDefaults::Global().plan_cache ||
+      FaultInjector::Global().enabled()) {
     GTEST_SKIP() << "needs an active plan cache";
   }
   GeneratedDb g = MakeMusicDb();
@@ -654,7 +653,8 @@ TEST(FeedbackLearnTest, RunAndDrainedQueryLearnTheSame) {
   ExpectSameLearning(*run_registry, *query_registry, version);
   EXPECT_EQ(run_registry->stats().demotions, 0u);  // fresh plans never demote
 
-  if (!PlanCacheEnabledByEnv()) return;  // demotion is about cached plans
+  // Demotion is about cached plans.
+  if (!TestDefaults::Global().plan_cache) return;
   // The second round hits each session's cache; a threshold barely above 1
   // makes the recursion's estimation error count as drift.
   const QueryRun hit = run_pq.Run(opts);

@@ -56,24 +56,17 @@ TEST(MetricsTest, CounterAddsAcrossThreads) {
     });
   }
   for (std::thread& t : threads) t.join();
-  if (obs::kObsEnabled) {
-    EXPECT_EQ(c.value(), static_cast<uint64_t>(kThreads) * kPerThread);
-  } else {
-    EXPECT_EQ(c.value(), 0u);
-  }
+  EXPECT_EQ(c.value(), static_cast<uint64_t>(kThreads) * kPerThread);
 }
 
 TEST(MetricsTest, GaugeLastWriteWins) {
   obs::Gauge g("test.gauge");
   g.Set(2.5);
   g.Set(7.0);
-  if (obs::kObsEnabled) {
-    EXPECT_DOUBLE_EQ(g.value(), 7.0);
-  }
+  EXPECT_DOUBLE_EQ(g.value(), 7.0);
 }
 
 TEST(MetricsTest, HistogramBucketsAndMoments) {
-  if (!obs::kObsEnabled) GTEST_SKIP() << "observability compiled out";
   obs::Histogram h("test.histogram");
   h.Observe(0.5);   // bucket 0
   h.Observe(1.0);   // bucket 0: [1, 2)
@@ -104,16 +97,12 @@ TEST(MetricsTest, RegistryReturnsStablePointersAndSamples) {
     if (s.name == "rodin.test.registry_counter") {
       found_counter = true;
       EXPECT_EQ(s.kind, "counter");
-      if (obs::kObsEnabled) {
-        EXPECT_GE(s.value, 3.0);
-      }
+      EXPECT_GE(s.value, 3.0);
     }
   }
   EXPECT_TRUE(found_counter);
   EXPECT_FALSE(reg.ToString().empty());
 }
-
-#if RODIN_OBS_ENABLED
 
 TEST(TracerTest, SpansNestAndExport) {
   obs::Tracer tracer;
@@ -172,19 +161,6 @@ TEST(TracerTest, CapsEventsInsteadOfGrowingUnbounded) {
   EXPECT_EQ(trace->events().size(), obs::Tracer::kMaxEvents);
   EXPECT_EQ(trace->dropped(), 10u);
 }
-
-#else  // !RODIN_OBS_ENABLED
-
-TEST(TracerTest, CompiledOutTracerIsInert) {
-  obs::Tracer tracer;
-  const uint64_t id = tracer.Begin("anything", "test");
-  tracer.End(id);
-  tracer.Instant("e", "test");
-  EXPECT_EQ(tracer.event_count(), 0u);
-  EXPECT_TRUE(tracer.Finish()->events().empty());
-}
-
-#endif  // RODIN_OBS_ENABLED
 
 TEST(DecisionLogTest, AggregatesAndFormats) {
   DecisionLog log;

@@ -21,7 +21,6 @@
 #include "common/rng.h"
 #include "datagen/graph_gen.h"
 #include "datagen/music_gen.h"
-#include "obs/config.h"
 #include "optimizer/baseline.h"
 #include "query/builder.h"
 #include "query/graph_queries.h"
@@ -120,7 +119,7 @@ void ExpectCachedRunIdentical(Session* session, const QueryGraph& q,
 class PlanCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!PlanCacheEnabledByEnv()) {
+    if (!TestDefaults::Global().plan_cache) {
       GTEST_SKIP() << "RODIN_PLAN_CACHE disables the cache; hit assertions "
                       "are vacuous (the cache-off CI leg proves the system "
                       "works without it, not that it hits)";
@@ -242,7 +241,7 @@ QueryGraph RandomRecursiveQuery(Rng* rng, const Schema& schema) {
 class PlanCacheSeedTest : public ::testing::TestWithParam<uint64_t> {
  protected:
   void SetUp() override {
-    if (!PlanCacheEnabledByEnv()) {
+    if (!TestDefaults::Global().plan_cache) {
       GTEST_SKIP() << "RODIN_PLAN_CACHE disables the cache";
     }
     FaultInjector::Global().Configure(FaultConfig{});  // disabled
@@ -533,7 +532,6 @@ TEST_F(PlanCacheTest, CacheHitSkipsOptimizerStagesInTrace) {
   ASSERT_TRUE(hit.ok()) << hit.error();
   ASSERT_TRUE(hit.plan_cached);
 
-#if RODIN_OBS_ENABLED
   ASSERT_NE(miss.trace, nullptr);
   ASSERT_NE(hit.trace, nullptr);
   // The miss traced all four optimizer stages; the hit traced none of them
@@ -544,7 +542,6 @@ TEST_F(PlanCacheTest, CacheHitSkipsOptimizerStagesInTrace) {
     EXPECT_FALSE(hit.trace->HasSpan(stage)) << stage;
   }
   EXPECT_TRUE(hit.trace->HasSpan("execute"));
-#endif
 
   // The replayed stage reports still describe the original optimization.
   EXPECT_EQ(hit.optimized.stages.size(), miss.optimized.stages.size());

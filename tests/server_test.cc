@@ -1,9 +1,10 @@
 // rodin_serve integration tests: wire-codec round-trips, the live server
 // end to end over real sockets (in-process, ephemeral port), concurrent
 // clients multiplexing one engine, admission-control shedding, and the
-// disconnect => cancellation guarantee — asserted via the server's plain
-// atomic Stats (deliberately not obs metrics, so the assertions hold under
-// RODIN_OBS=OFF builds too). The concurrency tests run under TSan in CI.
+// disconnect => cancellation guarantee — asserted via the server's
+// per-instance atomic Stats (deliberately not the process-wide obs metrics,
+// which every server in this binary shares). The concurrency tests run
+// under TSan in CI.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -460,7 +461,8 @@ TEST_F(ServerTest, PrepareExecuteHitsSharedPlanCache) {
   // The server's sessions share the engine's plan cache, so the repeat
   // execution is a cache hit — unless caching is disabled process-wide or
   // bypassed because the fault injector is live (RODIN_FAULTS).
-  if (PlanCacheEnabledByEnv() && !FaultInjector::Global().enabled()) {
+  if (TestDefaults::Global().plan_cache &&
+      !FaultInjector::Global().enabled()) {
     EXPECT_GE(engine_->plan_cache()->stats().hits, 1u);
   }
 }

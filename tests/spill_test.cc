@@ -425,10 +425,19 @@ TEST(SpillLedgerTest, CumulativeLiveTempPagesTripAcrossAllocations) {
   // bug) spills none of them, over-committing memory by the live
   // remainder. The spilled run must still be bit-identical to the
   // unlimited one (the ledger never clamps the buffer pool).
-  obs::Counter* spills =
-      obs::MetricsRegistry::Global().GetCounter("rodin.spill.spills");
-  obs::Counter* passes =
-      obs::MetricsRegistry::Global().GetCounter("rodin.spill.passes");
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  obs::Counter* spills = metrics.GetCounter("rodin.spill.spills");
+  obs::Counter* passes = metrics.GetCounter("rodin.spill.passes");
+  // Per-operator spill counts; the first three are the ledger-side
+  // operators, whose temps are charged to the ledger.
+  const std::vector<obs::Counter*> by_op = {
+      metrics.GetCounter("rodin.spill.spills.join-build"),
+      metrics.GetCounter("rodin.spill.spills.fix-delta"),
+      metrics.GetCounter("rodin.spill.spills.fix-cache"),
+      metrics.GetCounter("rodin.spill.spills.dedup"),
+      metrics.GetCounter("rodin.spill.spills.union")};
+  std::vector<uint64_t> by_op_before;
+  for (const obs::Counter* c : by_op) by_op_before.push_back(c->value());
   const uint64_t spills_before = spills->value();
   const uint64_t passes_before = passes->value();
   QueryOptions bounded = unlimited;
@@ -437,14 +446,24 @@ TEST(SpillLedgerTest, CumulativeLiveTempPagesTripAcrossAllocations) {
   ASSERT_TRUE(spilled.ok()) << spilled.status.ToString();
   const uint64_t run_spills = spills->value() - spills_before;
   const uint64_t run_passes = passes->value() - passes_before;
+  std::vector<uint64_t> run_by_op;
+  for (size_t i = 0; i < by_op.size(); ++i) {
+    run_by_op.push_back(by_op[i]->value() - by_op_before[i]);
+  }
+  const uint64_t ledger_spills = run_by_op[0] + run_by_op[1] + run_by_op[2];
+  const uint64_t dedup_spills = run_by_op[3] + run_by_op[4];
   EXPECT_GE(run_spills, 1u);
+  EXPECT_EQ(ledger_spills + dedup_spills, run_spills);
   // Which working sets spilled matters too. Under a per-allocation check
   // the live total still outgrows the budget, so the dedup buffers (which
   // size themselves against the ledger's remainder) spill sorted runs
-  // instead, and each run is merged back exactly once. Only a spilled
-  // ledger allocation is read back more often — the 2-page join build is
-  // re-scanned on every probe pass — so read-back passes outnumber spills
-  // only when the cumulative ledger did its job.
+  // instead and no ledger allocation spills at all.
+  EXPECT_GE(ledger_spills, 1u);
+  // The same fact seen through read-back: each dedup run is merged back
+  // exactly once, but a spilled ledger allocation is read back more often
+  // — the 2-page join build is re-scanned on every probe pass — so
+  // read-back passes outnumber spills only when the cumulative ledger did
+  // its job.
   EXPECT_GT(run_passes, run_spills);
   EXPECT_EQ(Keys(spilled.answer), Keys(base.answer));
   EXPECT_EQ(spilled.counters.predicate_evals, base.counters.predicate_evals);

@@ -17,6 +17,7 @@
 #include "cost/fig7.h"
 #include "optimizer/baseline.h"
 #include "query/parser.h"
+#include "test_env.h"
 
 namespace rodin {
 namespace {
@@ -184,7 +185,7 @@ TEST_F(TutorialTest, PreparedQueriesSectionWorksAsWritten) {
   EXPECT_FALSE(first.plan_cached);
   const QueryRun second = pq.Run({.cold = true});
   ASSERT_TRUE(second.ok()) << second.error();
-  if (PlanCacheEnabledByEnv()) EXPECT_TRUE(second.plan_cached);
+  if (TestDefaults::Global().plan_cache) EXPECT_TRUE(second.plan_cached);
   EXPECT_EQ(second.answer.rows, first.answer.rows);
   EXPECT_EQ(second.measured_cost, first.measured_cost);
 
@@ -199,7 +200,7 @@ TEST_F(TutorialTest, PreparedQueriesSectionWorksAsWritten) {
   EXPECT_EQ(session.Query(kQuery, traced).status().code,
             Status::Code::kInvalidArgument);
 
-  FaultInjector::Global().ConfigureFromEnv();
+  test_env::RestoreFaults();
 }
 
 TEST_F(TutorialTest, BudgetsAndCancellationSectionWorksAsWritten) {

@@ -19,6 +19,7 @@
 #include "datagen/parts_gen.h"
 #include "storage/buffer_pool.h"
 #include "storage/database.h"
+#include "test_env.h"
 #include "txn/txn_manager.h"
 
 namespace rodin {
@@ -185,9 +186,9 @@ TEST_F(TxnTest, CommitBumpsStatsVersionAndInvalidatesPlanCache) {
   // expected only when the cache is on; the version checks always run.
   struct InjectorOff {
     InjectorOff() { FaultInjector::Global().Configure(FaultConfig{}); }
-    ~InjectorOff() { FaultInjector::Global().ConfigureFromEnv(); }
+    ~InjectorOff() { test_env::RestoreFaults(); }
   } injector_off;
-  const bool cache_on = PlanCacheEnabledByEnv();
+  const bool cache_on = TestDefaults::Global().plan_cache;
 
   Session session(g_.db.get());
   const char* query = R"(select [n: x.name] from x in Composer

@@ -34,18 +34,16 @@
 //
 // --feedback / --no-feedback switch the adaptive cost-feedback loop
 // (measured cardinalities correcting the optimizer's estimates, see
-// src/cost/feedback.h); omitted, the RODIN_FEEDBACK environment switch
-// decides (off by default). --feedback-drift sets the re-optimization
-// threshold (> 1; default 3.0: a cached plan whose measured cost strays 3x
-// from its estimate is demoted and re-optimized) and --feedback-alpha the
-// correction EWMA weight in (0, 1]. Feedback never changes answers, only
+// src/cost/feedback.h); omitted, feedback is off. --feedback-drift sets the
+// re-optimization threshold (> 1; default 3.0: a cached plan whose measured
+// cost strays 3x from its estimate is demoted and re-optimized) and
+// --feedback-alpha the correction EWMA weight in (0, 1]. Feedback never changes answers, only
 // plans — a single CLI invocation optimizes once, so the flags matter for
 // scripted warm-up comparisons and --mutate + --query combinations.
 //
 // --no-plan-cache makes the run bypass the session's plan cache (a single
 // CLI invocation optimizes once either way; the flag matters for scripted
-// comparisons and mirrors QueryOptions::bypass_plan_cache; RODIN_PLAN_CACHE=0
-// disables caching process-wide).
+// comparisons and mirrors QueryOptions::bypass_plan_cache).
 //
 // --deadline-ms and --memory-budget-pages bound the run's lifecycle (see
 // docs/ROBUSTNESS.md); an operator working set over the memory budget
